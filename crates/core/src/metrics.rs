@@ -905,9 +905,9 @@ mod tests {
         assert_eq!(out, "8\\\"-drive \\\\ tab:\\u0009here");
     }
 
-    #[test]
-    fn tail_table_rendering_is_pinned() {
-        use crate::explorer::{AxisValue, SweepPoint};
+    /// A hand-built report: four reads at 100..400 us and one 1 ms write
+    /// (no trims), so the rendered percentiles are known exactly.
+    fn pinned_report(workload: &str) -> crate::report::PerfReport {
         use crate::report::{PerfReport, UtilizationBreakdown};
         use ssdx_sim::stats::LatencyHistogram as LegacyHistogram;
 
@@ -916,10 +916,10 @@ mod tests {
             classes.record(HostOp::Read, SimTime::from_us(us));
         }
         classes.record(HostOp::Write, SimTime::from_us(1000));
-        let report = PerfReport {
+        PerfReport {
             config_name: "C1".to_string(),
             architecture: "arch".to_string(),
-            workload: "zipf-0.99".to_string(),
+            workload: workload.to_string(),
             policy: "cache".to_string(),
             commands: 5,
             bytes: 20_480,
@@ -932,16 +932,29 @@ mod tests {
             latency: LegacyHistogram::new(),
             utilization: UtilizationBreakdown::default(),
             class_latency: Box::new(classes),
-        };
+        }
+    }
+
+    fn coordinates(pairs: &[(&str, &str)]) -> Vec<crate::explorer::AxisValue> {
+        pairs
+            .iter()
+            .map(|&(axis, value)| crate::explorer::AxisValue {
+                axis: axis.to_string(),
+                value: value.to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tail_table_rendering_is_pinned() {
+        use crate::explorer::SweepPoint;
+
         let study = TailStudy {
             sweep: Sweep {
                 axes: vec!["workload".to_string()],
                 points: vec![SweepPoint {
-                    coordinates: vec![AxisValue {
-                        axis: "workload".to_string(),
-                        value: "zipf-0.99".to_string(),
-                    }],
-                    report,
+                    coordinates: coordinates(&[("workload", "zipf-0.99")]),
+                    report: pinned_report("zipf-0.99"),
                 }],
             },
         };
@@ -956,12 +969,72 @@ workload               class     count   mean(us)    p50(us)    p95(us)    p99(u
 zipf-0.99              read          4      250.0      200.7      400.0      400.0      400.0\n\
 zipf-0.99              write         1     1000.0     1000.0     1000.0     1000.0     1000.0\n";
         assert_eq!(study.to_table(), expected);
-        let json = study.to_json();
-        assert!(
-            json.contains("\"schema\": \"ssdx-tail-latency/v1\""),
-            "{json}"
-        );
-        assert!(json.contains("\"class\": \"write\""), "{json}");
-        assert!(!json.contains("\"class\": \"trim\""), "{json}");
+        let expected_json = r#"{
+  "schema": "ssdx-tail-latency/v1",
+  "workloads": [
+    {
+      "workload": "zipf-0.99",
+      "classes": [
+        {"class": "read", "count": 4, "mean_ns": 250000, "p50_ns": 200703, "p95_ns": 400000, "p99_ns": 400000, "p999_ns": 400000, "max_ns": 400000},
+        {"class": "write", "count": 1, "mean_ns": 1000000, "p50_ns": 1000000, "p95_ns": 1000000, "p99_ns": 1000000, "p999_ns": 1000000, "max_ns": 1000000}
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(study.to_json(), expected_json);
+    }
+
+    #[test]
+    fn fault_table_rendering_is_pinned() {
+        use crate::explorer::SweepPoint;
+        use crate::faults::FaultStudy;
+
+        let study = FaultStudy {
+            sweep: Sweep {
+                axes: vec!["endurance".to_string(), "label".to_string()],
+                points: vec![
+                    SweepPoint {
+                        coordinates: coordinates(&[("endurance", "0.5"), ("label", r#"a"b\c"#)]),
+                        report: pinned_report("zipf \"hot\""),
+                    },
+                    SweepPoint {
+                        coordinates: coordinates(&[("endurance", "1"), ("label", "off")]),
+                        report: pinned_report("churn"),
+                    },
+                ],
+            },
+        };
+        // The table prints labels verbatim; the JSON escapes them.
+        let expected = r#"scenario                       class     count   mean(us)    p50(us)    p95(us)    p99(us)  p99.9(us)
+endurance=0.5 label=a"b\c      read          4      250.0      200.7      400.0      400.0      400.0
+endurance=0.5 label=a"b\c      write         1     1000.0     1000.0     1000.0     1000.0     1000.0
+endurance=1 label=off          read          4      250.0      200.7      400.0      400.0      400.0
+endurance=1 label=off          write         1     1000.0     1000.0     1000.0     1000.0     1000.0
+"#;
+        assert_eq!(study.to_table(), expected);
+        let expected_json = r#"{
+  "schema": "ssdx-fault-tails/v1",
+  "scenarios": [
+    {
+      "scenario": "endurance=0.5 label=a\"b\\c",
+      "workload": "zipf \"hot\"",
+      "classes": [
+        {"class": "read", "count": 4, "mean_ns": 250000, "p50_ns": 200703, "p95_ns": 400000, "p99_ns": 400000, "p999_ns": 400000, "max_ns": 400000},
+        {"class": "write", "count": 1, "mean_ns": 1000000, "p50_ns": 1000000, "p95_ns": 1000000, "p99_ns": 1000000, "p999_ns": 1000000, "max_ns": 1000000}
+      ]
+    },
+    {
+      "scenario": "endurance=1 label=off",
+      "workload": "churn",
+      "classes": [
+        {"class": "read", "count": 4, "mean_ns": 250000, "p50_ns": 200703, "p95_ns": 400000, "p99_ns": 400000, "p999_ns": 400000, "max_ns": 400000},
+        {"class": "write", "count": 1, "mean_ns": 1000000, "p50_ns": 1000000, "p95_ns": 1000000, "p99_ns": 1000000, "p999_ns": 1000000, "max_ns": 1000000}
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(study.to_json(), expected_json);
     }
 }
