@@ -1,6 +1,8 @@
 //! Regenerates every table and figure of the SSDExplorer paper's evaluation.
 //!
-//! Run with `cargo run --release -p ssdx-bench --bin experiments -- [all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables]`.
+//! Run with `cargo run --release -p ssdx-bench --bin experiments -- [all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables|policies]`.
+//! No argument runs `all`; an unknown subcommand prints the list to stderr
+//! and exits 2.
 //! Results are printed as aligned text tables; every section renders into
 //! one shared `fmt::Write` buffer that is printed (and reused) per section,
 //! so table formatting never allocates a `String` per cell.
@@ -50,6 +52,9 @@ const OCZ_REFERENCE_MBPS: [(AccessPattern, f64); 4] = [
     (AccessPattern::RandomWrite, 22.0),
     (AccessPattern::RandomRead, 145.0),
 ];
+
+/// Every subcommand `main` dispatches, as printed for an unknown one.
+const SUBCOMMANDS: &str = "all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables|policies";
 
 /// Commands per configuration for the speed suite (same sizing as the fig6
 /// bench targets).
@@ -510,7 +515,7 @@ fn main() {
             print_table3(&mut out);
         }
         "policies" => cache_policy_note(&mut out),
-        _ => {
+        "all" => {
             // Full run: flush the shared buffer after each section so the
             // output streams while the later (long) experiments still run.
             let sections: [fn(&mut String); 10] = [
@@ -530,6 +535,10 @@ fn main() {
                 print!("{out}");
                 out.clear();
             }
+        }
+        other => {
+            eprintln!("experiments: unknown subcommand `{other}`; expected one of {SUBCOMMANDS}");
+            std::process::exit(2);
         }
     }
     print!("{out}");

@@ -44,11 +44,9 @@
 //! warm-started — print identical bytes.
 
 use crate::config::{FaultConfig, FtlMode, SsdConfig};
-use crate::explorer::{endurance_axis, Axis, Explorer, Sweep, SweepError, SweepPoint};
-use crate::metrics::{push_json_escaped, SteadyStateCutoff, TailSummary};
-use serde::Serialize;
+use crate::explorer::{endurance_axis, Axis, Explorer, Sweep, SweepError};
+use crate::metrics::{render_tails, SteadyStateCutoff, TailLayout};
 use ssdx_hostif::{generative, CommandSource, ZipfianWorkload};
-use std::fmt::Write as _;
 
 /// An axis sweeping the per-read disturb coefficient: each point sets
 /// [`FaultConfig::read_disturb_per_read`], leaving everything else at the
@@ -115,105 +113,41 @@ pub fn power_loss_axis(points: &[u64]) -> Axis {
 /// dimension; each point's coordinates name the sub-sweep it came from
 /// (e.g. `retire_limit=2`).
 #[must_use = "a fault study carries the measured percentiles"]
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultStudy {
     /// The underlying sweep: the concatenated per-fault-source sub-sweeps.
     pub sweep: Sweep,
 }
 
-/// `axis=value` scenario label of one campaign point (points carry one
-/// coordinate per swept dimension of their sub-sweep).
-fn scenario(point: &SweepPoint) -> String {
-    point
-        .coordinates
-        .iter()
-        .map(|c| format!("{}={}", c.axis, c.value))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 impl FaultStudy {
+    /// Each point is labelled by its `axis=value` scenario (one coordinate
+    /// per swept dimension of its sub-sweep) and its workload.
+    const LAYOUT: TailLayout = TailLayout {
+        schema: "ssdx-fault-tails/v1",
+        list: "scenarios",
+        keys: &["scenario", "workload"],
+        width: 30,
+        labels: |point| {
+            let scenario: Vec<String> = point
+                .coordinates
+                .iter()
+                .map(|c| format!("{}={}", c.axis, c.value))
+                .collect();
+            vec![scenario.join(" "), point.report.workload.clone()]
+        },
+    };
+
     /// Formats the campaign as an aligned percentile table (all times in
-    /// microseconds): one row per scenario × command class (classes with no
-    /// samples are skipped). Rendered through one shared `fmt::Write`
-    /// buffer; the exact rendering is pinned by a unit test.
+    /// microseconds): one row per scenario × command class with samples.
+    /// The exact rendering is pinned by a unit test.
     pub fn to_table(&self) -> String {
-        let mut out = String::with_capacity(128 + self.sweep.points.len() * 256);
-        let _ = writeln!(
-            out,
-            "{:<30} {:<6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "scenario", "class", "count", "mean(us)", "p50(us)", "p95(us)", "p99(us)", "p99.9(us)"
-        );
-        for point in &self.sweep.points {
-            let scenario = scenario(point);
-            for tail in point.report.tails() {
-                if tail.count == 0 {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "{:<30} {:<6} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                    scenario,
-                    tail.class.label(),
-                    tail.count,
-                    tail.mean.as_us_f64(),
-                    tail.p50.as_us_f64(),
-                    tail.p95.as_us_f64(),
-                    tail.p99.as_us_f64(),
-                    tail.p999.as_us_f64(),
-                );
-            }
-        }
-        out
+        render_tails(&self.sweep, &Self::LAYOUT, false)
     }
 
-    /// Machine-readable JSON emission (hand rolled — the vendored serde is
-    /// a marker), mirroring `experiments -- faults --json`. Scenario and
-    /// workload labels are JSON-escaped.
+    /// Machine-readable JSON emission, mirroring `experiments -- faults
+    /// --json`. Scenario and workload labels are JSON-escaped.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.sweep.points.len() * 512);
-        out.push_str("{\n  \"schema\": \"ssdx-fault-tails/v1\",\n  \"scenarios\": [\n");
-        for (si, point) in self.sweep.points.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            out.push_str("      \"scenario\": \"");
-            push_json_escaped(&mut out, &scenario(point));
-            out.push_str("\",\n      \"workload\": \"");
-            push_json_escaped(&mut out, &point.report.workload);
-            out.push_str("\",\n");
-            let _ = writeln!(out, "      \"classes\": [");
-            let tails: Vec<TailSummary> = point
-                .report
-                .tails()
-                .into_iter()
-                .filter(|t| t.count > 0)
-                .collect();
-            for (ci, tail) in tails.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"class\": \"{}\", \"count\": {}, \"mean_ns\": {}, \
-                     \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-                     \"max_ns\": {}}}",
-                    tail.class.label(),
-                    tail.count,
-                    tail.mean.as_ns(),
-                    tail.p50.as_ns(),
-                    tail.p95.as_ns(),
-                    tail.p99.as_ns(),
-                    tail.p999.as_ns(),
-                    tail.max.as_ns(),
-                );
-                out.push_str(if ci + 1 < tails.len() { ",\n" } else { "\n" });
-            }
-            let _ = writeln!(out, "      ]");
-            out.push_str("    }");
-            out.push_str(if si + 1 < self.sweep.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        render_tails(&self.sweep, &Self::LAYOUT, true)
     }
 }
 

@@ -26,8 +26,7 @@
 //! (`tests/tail_metrics.rs`).
 
 use crate::config::SsdConfig;
-use crate::explorer::{Explorer, Sweep, SweepError};
-use serde::Serialize;
+use crate::explorer::{Explorer, Sweep, SweepError, SweepPoint};
 use ssdx_hostif::{BurstyWorkload, HostOp, MixedSizeWorkload, RmwWorkload, ZipfianWorkload};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::SimTime;
@@ -91,7 +90,7 @@ const BUCKETS: usize = OCTAVES * SUBS;
 /// assert_eq!(h.count(), 1001);
 /// assert_eq!(h.max(), SimTime::from_us(5000));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; BUCKETS],
     count: u64,
@@ -328,7 +327,7 @@ impl std::fmt::Debug for LatencyHistogram {
 /// assert_eq!(CommandClass::Read.label(), "read");
 /// assert_eq!(CommandClass::ALL.len(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandClass {
     /// Host reads.
     Read,
@@ -393,7 +392,7 @@ impl From<HostOp> for CommandClass {
 /// assert_eq!(classes.class(CommandClass::Read).count(), 1);
 /// assert_eq!(classes.total().count(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassHistograms {
     classes: [LatencyHistogram; 3],
 }
@@ -494,7 +493,7 @@ impl Default for ClassHistograms {
 /// let by_time = SteadyStateCutoff::SimulatedTime(SimTime::from_ms(1));
 /// assert!(by_time.admits(0, SimTime::from_ms(2)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteadyStateCutoff {
     /// No trimming: every completion is recorded (the default).
     #[default]
@@ -537,7 +536,7 @@ impl SteadyStateCutoff {
 /// assert!(tail.p50 <= tail.p95 && tail.p95 <= tail.p99 && tail.p99 <= tail.p999);
 /// assert!(tail.p999 <= tail.max);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailSummary {
     /// The command class summarised.
     pub class: CommandClass,
@@ -591,103 +590,119 @@ impl TailSummary {
 /// # Ok::<(), ssdx_core::SweepError>(())
 /// ```
 #[must_use = "a tail study carries the measured percentiles"]
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TailStudy {
     /// The underlying sweep, one point per workload.
     pub sweep: Sweep,
 }
 
 impl TailStudy {
-    /// Formats the study as an aligned percentile table (all times in
-    /// microseconds): one row per workload × command class (classes with
-    /// no samples are skipped).
-    ///
-    /// Rendered through one shared `fmt::Write` buffer — no per-cell
-    /// `String` allocations; the exact rendering is pinned by a unit test.
-    pub fn to_table(&self) -> String {
-        let mut out = String::with_capacity(128 + self.sweep.points.len() * 256);
-        let _ = writeln!(
-            out,
-            "{:<22} {:<6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "workload", "class", "count", "mean(us)", "p50(us)", "p95(us)", "p99(us)", "p99.9(us)"
-        );
-        for point in &self.sweep.points {
+    const LAYOUT: TailLayout = TailLayout {
+        schema: "ssdx-tail-latency/v1",
+        list: "workloads",
+        keys: &["workload"],
+        width: 22,
+        labels: |point| {
             let workload = point.value("workload").unwrap_or(&point.report.workload);
-            for tail in point.report.tails() {
-                if tail.count == 0 {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "{:<22} {:<6} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                    workload,
-                    tail.class.label(),
-                    tail.count,
-                    tail.mean.as_us_f64(),
-                    tail.p50.as_us_f64(),
-                    tail.p95.as_us_f64(),
-                    tail.p99.as_us_f64(),
-                    tail.p999.as_us_f64(),
-                );
-            }
-        }
-        out
+            vec![workload.to_string()]
+        },
+    };
+
+    /// Formats the study as an aligned percentile table (all times in
+    /// microseconds): one row per workload × command class with samples.
+    /// The exact rendering is pinned by a unit test.
+    pub fn to_table(&self) -> String {
+        render_tails(&self.sweep, &Self::LAYOUT, false)
     }
 
-    /// Machine-readable JSON emission (hand rolled — the vendored serde is
-    /// a marker), mirroring `experiments -- tails --json`. Workload labels
-    /// are caller-chosen strings and are JSON-escaped.
+    /// Machine-readable JSON emission, mirroring `experiments -- tails
+    /// --json`. Workload labels are caller-chosen and JSON-escaped.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.sweep.points.len() * 512);
-        out.push_str("{\n  \"schema\": \"ssdx-tail-latency/v1\",\n  \"workloads\": [\n");
-        for (wi, point) in self.sweep.points.iter().enumerate() {
-            let workload = point.value("workload").unwrap_or(&point.report.workload);
-            let _ = writeln!(out, "    {{");
-            out.push_str("      \"workload\": \"");
-            push_json_escaped(&mut out, workload);
-            out.push_str("\",\n");
-            let _ = writeln!(out, "      \"classes\": [");
-            let tails: Vec<TailSummary> = point
-                .report
-                .tails()
-                .into_iter()
-                .filter(|t| t.count > 0)
-                .collect();
-            for (ci, tail) in tails.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"class\": \"{}\", \"count\": {}, \"mean_ns\": {}, \
-                     \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-                     \"max_ns\": {}}}",
-                    tail.class.label(),
-                    tail.count,
-                    tail.mean.as_ns(),
-                    tail.p50.as_ns(),
-                    tail.p95.as_ns(),
-                    tail.p99.as_ns(),
-                    tail.p999.as_ns(),
-                    tail.max.as_ns(),
-                );
-                out.push_str(if ci + 1 < tails.len() { ",\n" } else { "\n" });
+        render_tails(&self.sweep, &Self::LAYOUT, true)
+    }
+}
+
+/// What differs between the renderings of [`TailStudy`] and
+/// [`FaultStudy`](crate::faults::FaultStudy): the JSON `schema` tag, the
+/// JSON key of the point array, the label columns and how a point is
+/// labelled. The first label alone heads the table, `width` wide.
+pub(crate) struct TailLayout {
+    pub(crate) schema: &'static str,
+    pub(crate) list: &'static str,
+    pub(crate) keys: &'static [&'static str],
+    pub(crate) width: usize,
+    pub(crate) labels: fn(&SweepPoint) -> Vec<String>,
+}
+
+/// Renders the per-class percentiles of every point of `sweep`, one row per
+/// point × command class with samples: an aligned table in microseconds,
+/// or with `json` a JSON document in nanoseconds with escaped labels.
+/// Rendered through one shared `fmt::Write` buffer, with no per-cell
+/// `String` allocations.
+pub(crate) fn render_tails(sweep: &Sweep, layout: &TailLayout, json: bool) -> String {
+    const TIME_KEYS: [&str; 6] = ["mean", "p50", "p95", "p99", "p999", "max"];
+    let width = layout.width;
+    let mut out = String::with_capacity(256 + sweep.points.len() * 512);
+    if json {
+        let _ = write!(out, "{{\n  \"schema\": \"{}\",\n", layout.schema);
+        let _ = writeln!(out, "  \"{}\": [", layout.list);
+    } else {
+        let _ = writeln!(
+            out,
+            "{:<width$} class     count   mean(us)    p50(us)    p95(us)    p99(us)  p99.9(us)",
+            layout.keys[0]
+        );
+    }
+    for (pi, point) in sweep.points.iter().enumerate() {
+        let labels = (layout.labels)(point);
+        let tails = point.report.tails();
+        let tails: Vec<_> = tails.iter().filter(|t| t.count > 0).collect();
+        if json {
+            out.push_str("    {\n");
+            for (key, label) in layout.keys.iter().zip(&labels) {
+                let _ = write!(out, "      \"{key}\": \"");
+                push_json_escaped(&mut out, label);
+                out.push_str("\",\n");
             }
-            let _ = writeln!(out, "      ]");
-            out.push_str("    }");
-            out.push_str(if wi + 1 < self.sweep.points.len() {
-                ",\n"
+            out.push_str("      \"classes\": [\n");
+        }
+        for (ci, tail) in tails.iter().enumerate() {
+            let (class, count) = (tail.class.label(), tail.count);
+            let times = [tail.mean, tail.p50, tail.p95, tail.p99, tail.p999, tail.max];
+            if json {
+                let _ = write!(out, "        {{\"class\": \"{class}\", \"count\": {count}");
+                for (key, time) in TIME_KEYS.iter().zip(times) {
+                    let _ = write!(out, ", \"{key}_ns\": {}", time.as_ns());
+                }
+                out.push_str(if ci + 1 < tails.len() { "},\n" } else { "}\n" });
             } else {
-                "\n"
+                let _ = write!(out, "{:<width$} {class:<6} {count:>8}", labels[0]);
+                // The table stops at p99.9; only the JSON carries the max.
+                for time in &times[..5] {
+                    let _ = write!(out, " {:>10.1}", time.as_us_f64());
+                }
+                out.push('\n');
+            }
+        }
+        if json {
+            let last = pi + 1 == sweep.points.len();
+            out.push_str(if last {
+                "      ]\n    }\n"
+            } else {
+                "      ]\n    },\n"
             });
         }
-        out.push_str("  ]\n}\n");
-        out
     }
+    if json {
+        out.push_str("  ]\n}\n");
+    }
+    out
 }
 
 /// Appends `s` to `out` with JSON string escaping (quotes, backslashes and
 /// control characters) — labels are caller-chosen and must not be able to
-/// break the emitted document. Shared with the fault campaign's JSON
-/// emission ([`crate::faults::FaultStudy::to_json`]).
-pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
+/// break the emitted document.
+fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -905,9 +920,11 @@ mod tests {
         assert_eq!(out, "8\\\"-drive \\\\ tab:\\u0009here");
     }
 
-    /// A hand-built report: four reads at 100..400 us and one 1 ms write
-    /// (no trims), so the rendered percentiles are known exactly.
-    fn pinned_report(workload: &str) -> crate::report::PerfReport {
+    /// A point at `coordinates` with a hand-built report: four reads at
+    /// 100..400 us and one 1 ms write (no trims), so the rendered
+    /// percentiles are known exactly.
+    fn pinned_point(coordinates: &[(&str, &str)], workload: &str) -> SweepPoint {
+        use crate::explorer::AxisValue;
         use crate::report::{PerfReport, UtilizationBreakdown};
         use ssdx_sim::stats::LatencyHistogram as LegacyHistogram;
 
@@ -916,46 +933,38 @@ mod tests {
             classes.record(HostOp::Read, SimTime::from_us(us));
         }
         classes.record(HostOp::Write, SimTime::from_us(1000));
-        PerfReport {
-            config_name: "C1".to_string(),
-            architecture: "arch".to_string(),
-            workload: workload.to_string(),
-            policy: "cache".to_string(),
-            commands: 5,
-            bytes: 20_480,
-            elapsed: SimTime::from_ms(1),
-            throughput_mbps: 20.48,
-            iops: 5_000.0,
-            waf: 1.0,
-            nand_page_programs: 2,
-            nand_page_reads: 8,
-            latency: LegacyHistogram::new(),
-            utilization: UtilizationBreakdown::default(),
-            class_latency: Box::new(classes),
+        let coordinates = coordinates.iter().map(|&(axis, value)| AxisValue {
+            axis: axis.to_string(),
+            value: value.to_string(),
+        });
+        SweepPoint {
+            coordinates: coordinates.collect(),
+            report: PerfReport {
+                config_name: "C1".to_string(),
+                architecture: "arch".to_string(),
+                workload: workload.to_string(),
+                policy: "cache".to_string(),
+                commands: 5,
+                bytes: 20_480,
+                elapsed: SimTime::from_ms(1),
+                throughput_mbps: 20.48,
+                iops: 5_000.0,
+                waf: 1.0,
+                nand_page_programs: 2,
+                nand_page_reads: 8,
+                latency: LegacyHistogram::new(),
+                utilization: UtilizationBreakdown::default(),
+                class_latency: Box::new(classes),
+            },
         }
-    }
-
-    fn coordinates(pairs: &[(&str, &str)]) -> Vec<crate::explorer::AxisValue> {
-        pairs
-            .iter()
-            .map(|&(axis, value)| crate::explorer::AxisValue {
-                axis: axis.to_string(),
-                value: value.to_string(),
-            })
-            .collect()
     }
 
     #[test]
     fn tail_table_rendering_is_pinned() {
-        use crate::explorer::SweepPoint;
-
         let study = TailStudy {
             sweep: Sweep {
                 axes: vec!["workload".to_string()],
-                points: vec![SweepPoint {
-                    coordinates: coordinates(&[("workload", "zipf-0.99")]),
-                    report: pinned_report("zipf-0.99"),
-                }],
+                points: vec![pinned_point(&[("workload", "zipf-0.99")], "zipf-0.99")],
             },
         };
         // The trim row is skipped (no samples); the quantiles resolve to
@@ -987,21 +996,17 @@ zipf-0.99              write         1     1000.0     1000.0     1000.0     1000
 
     #[test]
     fn fault_table_rendering_is_pinned() {
-        use crate::explorer::SweepPoint;
         use crate::faults::FaultStudy;
 
         let study = FaultStudy {
             sweep: Sweep {
                 axes: vec!["endurance".to_string(), "label".to_string()],
                 points: vec![
-                    SweepPoint {
-                        coordinates: coordinates(&[("endurance", "0.5"), ("label", r#"a"b\c"#)]),
-                        report: pinned_report("zipf \"hot\""),
-                    },
-                    SweepPoint {
-                        coordinates: coordinates(&[("endurance", "1"), ("label", "off")]),
-                        report: pinned_report("churn"),
-                    },
+                    pinned_point(
+                        &[("endurance", "0.5"), ("label", r#"a"b\c"#)],
+                        "zipf \"hot\"",
+                    ),
+                    pinned_point(&[("endurance", "1"), ("label", "off")], "churn"),
                 ],
             },
         };

@@ -1,7 +1,6 @@
 //! Events exchanged through the simulation calendar.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque identifier assigned to every scheduled event.
@@ -13,7 +12,7 @@ use std::fmt;
 /// scheduler's payload arena recycles *slots*, never identifiers: an
 /// `EventId` observed once is never handed out again, so identifiers remain
 /// safe to use as correlation keys across a whole simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub(crate) u64);
 
 impl EventId {

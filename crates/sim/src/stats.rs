@@ -8,10 +8,9 @@
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A simple monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter {
     count: u64,
 }
@@ -42,7 +41,7 @@ impl Counter {
 ///
 /// Throughput is reported in decimal megabytes per second (10^6 bytes), the
 /// unit used throughout the paper's figures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThroughputMeter {
     bytes: u64,
     ops: u64,
@@ -94,7 +93,7 @@ impl ThroughputMeter {
 /// Buckets are powers of two of nanoseconds, which is plenty of resolution to
 /// distinguish microsecond-scale interface latencies from millisecond-scale
 /// NAND program times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -224,7 +223,7 @@ impl Default for LatencyHistogram {
 }
 
 /// Tracks how much of the simulated horizon a component spent busy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Utilization {
     busy: SimTime,
 }
