@@ -353,6 +353,30 @@ mod tests {
     }
 
     #[test]
+    fn long_access_across_rows_is_pinned() {
+        // An unaligned 128 KiB access on DDR2-800 touches 17 rows of 8 KiB.
+        // The 4 KB warm-up leaves row 0 open in every bank, so the long
+        // access starts with hits, then pays one conflict per bank at each
+        // row boundary (only 5 before the access ends at the last one).
+        // Every figure below is pinned by value.
+        let mut b = buf();
+        b.access(SimTime::ZERO, 0, 4096, AccessKind::Write);
+        let o = b.access(
+            SimTime::from_ns(100),
+            5 * 64 + 24,
+            128 << 10,
+            AccessKind::Read,
+        );
+        assert_eq!(o.bursts, 2048);
+        assert_eq!(o.end, SimTime::from_ps(50_732_500));
+        assert_eq!(o.row_hits, 1923);
+        let counts: Vec<_> = b.banks.iter().map(Bank::outcome_counts).collect();
+        let mut expected = vec![(247, 1, 16); 5];
+        expected.extend([(248, 1, 15); 3]);
+        assert_eq!(counts, expected);
+    }
+
+    #[test]
     fn effective_bandwidth_zero_horizon() {
         let b = buf();
         assert_eq!(b.effective_bandwidth(SimTime::ZERO), 0.0);
