@@ -187,7 +187,8 @@ impl Default for FaultConfig {
 /// Errors produced while building or parsing a configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A structural parameter (channels, ways, dies, buffers) is zero.
+    /// A structural parameter (channels, ways, dies, buffers, DRAM timing
+    /// dimensions) is zero.
     ZeroDimension(&'static str),
     /// A key in the text configuration is unknown.
     UnknownKey(String),
@@ -310,11 +311,13 @@ impl SsdConfig {
         )
     }
 
-    /// Validates structural parameters.
+    /// Validates structural parameters, including the DRAM timing set.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ZeroDimension`] naming the offending field.
+    /// Returns [`ConfigError::ZeroDimension`] naming the offending field
+    /// (`dram_timings` for any timing set that
+    /// [`DdrTimings::validate`] rejects).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.channels == 0 {
             return Err(ConfigError::ZeroDimension("channels"));
@@ -333,6 +336,11 @@ impl SsdConfig {
         }
         if self.cpu_cores == 0 {
             return Err(ConfigError::ZeroDimension("cpu_cores"));
+        }
+        // A zero bank count, burst or row size would divide by zero on the
+        // first buffer access.
+        if self.dram_timings.validate().is_err() {
+            return Err(ConfigError::ZeroDimension("dram_timings"));
         }
         Ok(())
     }
@@ -888,6 +896,35 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroDimension("dram_buffers")
         );
+    }
+
+    #[test]
+    fn zero_dram_timing_dimensions_are_rejected() {
+        let zero_banks = DdrTimings {
+            banks: 0,
+            ..DdrTimings::ddr2_800()
+        };
+        let zero_rows = DdrTimings {
+            row_bytes: 0,
+            ..DdrTimings::ddr2_800()
+        };
+        for timings in [zero_banks, zero_rows] {
+            assert_eq!(
+                SsdConfig::builder("bad")
+                    .dram_timings(timings)
+                    .build()
+                    .unwrap_err(),
+                ConfigError::ZeroDimension("dram_timings")
+            );
+            let config = SsdConfig {
+                dram_timings: timings,
+                ..SsdConfig::default()
+            };
+            assert_eq!(
+                crate::Ssd::try_new(config).err(),
+                Some(ConfigError::ZeroDimension("dram_timings"))
+            );
+        }
     }
 
     #[test]

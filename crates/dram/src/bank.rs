@@ -106,6 +106,22 @@ impl Bank {
         (ready, outcome)
     }
 
+    /// Books a run of bursts the buffer timed in closed form: `hits` row
+    /// hits and `conflicts` conflicts, leaving `row` open. The ready instant
+    /// is left alone; the buffer walks the bank again before the access ends.
+    pub(crate) fn book_train(&mut self, hits: u64, conflicts: u64, row: u64) {
+        self.hits += hits;
+        self.conflicts += conflicts;
+        self.state = BankState::ActiveRow(row);
+    }
+
+    /// Re-books one hit booked by [`book_train`](Self::book_train) as a
+    /// conflict.
+    pub(crate) fn rebook_hit_as_conflict(&mut self) {
+        self.hits -= 1;
+        self.conflicts += 1;
+    }
+
     /// Encodes the bank's mutable state, in stable field order: row-buffer
     /// state (tag byte `0` = idle, `1` = active row followed by the row
     /// number), ready instant, then the hit/miss/conflict counters.

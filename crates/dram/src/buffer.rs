@@ -70,6 +70,35 @@ pub struct DramBuffer {
     refresh_interval: SimTime,
 }
 
+/// Where a burst train of one access stands: the bank, row and in-row byte
+/// offset of its next burst, when its previous burst left the data bus, and
+/// the row hits so far.
+#[derive(Clone, Copy)]
+struct Train {
+    bank: usize,
+    row: u64,
+    row_offset: u64,
+    cursor: SimTime,
+    row_hits: u32,
+}
+
+impl Train {
+    /// Moves on to the next burst: the next bank in rotation, and the next
+    /// row whenever the running address crosses a row boundary.
+    #[inline]
+    fn advance(&mut self, banks: usize, burst_bytes: u64, row_bytes: u64) {
+        self.bank += 1;
+        if self.bank == banks {
+            self.bank = 0;
+        }
+        self.row_offset += burst_bytes;
+        while self.row_offset >= row_bytes {
+            self.row_offset -= row_bytes;
+            self.row += 1;
+        }
+    }
+}
+
 impl DramBuffer {
     /// Creates an idle buffer with the given identifier and timing set.
     pub fn new(id: u32, timings: DdrTimings) -> Self {
@@ -108,15 +137,6 @@ impl DramBuffer {
     /// Earliest instant the data bus is free.
     pub fn bus_free_at(&self) -> SimTime {
         self.data_bus_free
-    }
-
-    fn map_address(&self, addr: u64, burst_index: u32) -> (usize, u64) {
-        // Simple interleaved mapping: consecutive bursts rotate across banks,
-        // rows advance every `row_bytes`.
-        let burst_addr = addr + burst_index as u64 * self.timings.burst_bytes() as u64;
-        let bank = (burst_addr / self.timings.burst_bytes() as u64) % self.timings.banks as u64;
-        let row = burst_addr / self.timings.row_bytes as u64;
-        (bank as usize, row)
     }
 
     fn refresh_if_due(&mut self, now: SimTime) {
@@ -162,7 +182,17 @@ impl DramBuffer {
     /// The transfer is split into DRAM bursts; each burst pays the row
     /// activation cost its bank requires (hit/miss/conflict) plus CAS latency
     /// and bus occupancy. Refresh windows that became due before `at` stall
-    /// the whole device.
+    /// the whole device. Consecutive bursts rotate across the banks one step
+    /// at a time (interleaved mapping); rows advance every `row_bytes`.
+    ///
+    /// Only the first and the last bank rotation are walked burst by burst.
+    /// A burst in between meets the bank that served the burst one rotation
+    /// earlier, so that bank is ready by the time the previous burst ends
+    /// and has a row open: the burst ends exactly CAS + burst time after its
+    /// predecessor, plus tRP + tRCD when its row differs from the open one —
+    /// always a conflict, never a miss. Those middle bursts are timed and
+    /// counted in closed form; a per-burst reference in the tests pins the
+    /// result, counters and state bytes.
     pub fn access(
         &mut self,
         at: SimTime,
@@ -172,47 +202,157 @@ impl DramBuffer {
     ) -> AccessOutcome {
         self.refresh_if_due(at);
         let burst_bytes = self.timings.burst_bytes() as u64;
+        let row_bytes = self.timings.row_bytes as u64;
         let banks = self.banks.len() as u64;
+        let bursts = bytes.div_ceil(burst_bytes as u32).max(1);
+        let origin = Train {
+            bank: ((addr / burst_bytes) % banks) as usize,
+            row: addr / row_bytes,
+            row_offset: addr % row_bytes,
+            cursor: at,
+            row_hits: 0,
+        };
+        let mut train = origin;
+        let start = match (bursts as u64).checked_sub(2 * banks) {
+            Some(middle) if middle > 0 => {
+                let start = self.walk(&mut train, banks);
+                self.skip_middle(&mut train, &origin, middle);
+                self.walk(&mut train, banks);
+                start
+            }
+            _ => self.walk(&mut train, bursts as u64),
+        };
+        self.stats.bus_busy += self.burst * bursts as u64;
+        self.stats.accesses += 1;
+        self.stats.bytes += bytes as u64;
+        AccessOutcome {
+            start,
+            end: train.cursor,
+            bursts,
+            row_hits: train.row_hits,
+        }
+    }
+
+    /// Walks the next `count` bursts of `train` one by one through their
+    /// banks' row state machines and returns when the first of them started
+    /// on the data bus.
+    fn walk(&mut self, train: &mut Train, count: u64) -> SimTime {
+        let burst_bytes = self.timings.burst_bytes() as u64;
+        let row_bytes = self.timings.row_bytes as u64;
+        let mut first_start = None;
+        for _ in 0..count {
+            let bank = &mut self.banks[train.bank];
+            let (cas_ready, outcome) =
+                bank.open_row_with(train.cursor, train.row, self.activate, self.precharge);
+            if outcome == RowOutcome::Hit {
+                train.row_hits += 1;
+            }
+            let data_start = (cas_ready + self.cas).max(self.data_bus_free);
+            let data_end = data_start + self.burst;
+            bank.occupy_until(data_end);
+            self.data_bus_free = data_end;
+            first_start.get_or_insert(data_start);
+            train.cursor = data_end;
+            train.advance(self.banks.len(), burst_bytes, row_bytes);
+        }
+        first_start.unwrap_or(train.cursor)
+    }
+
+    /// Times and books the `middle` bursts between the first and the last
+    /// bank rotation in closed form (see [`access`](Self::access)), moving
+    /// `train` on to the first burst of the last rotation. `origin` is the
+    /// train at its first burst.
+    ///
+    /// The bank state the last rotation reads is exact: each bank is left
+    /// with the row of its last middle burst. Ready instants are left as the
+    /// first rotation set them (no later than the train's cursor, which is
+    /// all the last rotation reads of them) and are overwritten by it.
+    fn skip_middle(&mut self, train: &mut Train, origin: &Train, middle: u64) {
+        let banks = self.banks.len() as u64;
+        let burst_bytes = self.timings.burst_bytes() as u64;
+        let row_bytes = self.timings.row_bytes as u64;
+        // A middle burst conflicts iff its row differs from the one its bank
+        // opened a rotation earlier; when a rotation spans a whole row, every
+        // middle burst does.
+        let every_burst_conflicts = banks * burst_bytes >= row_bytes;
+        // Bursts `middle..middle + banks`, the ones just before the last
+        // rotation, meet every bank once, each as its bank's last middle
+        // burst (or, if `middle < banks`, its first-rotation burst). Burst
+        // `b` of them has had `b / banks` middle visits on its bank.
+        let (per_bank, extra) = (middle / banks, middle % banks);
+        let offset = origin.row_offset + middle * burst_bytes;
+        train.bank = origin.bank + extra as usize;
+        if train.bank >= self.banks.len() {
+            train.bank -= self.banks.len();
+        }
+        (train.row, train.row_offset) = if offset < row_bytes {
+            (origin.row, offset)
+        } else {
+            (origin.row + offset / row_bytes, offset % row_bytes)
+        };
+        for i in 0..banks {
+            let visits = per_bank + u64::from(i + extra >= banks);
+            let (hits, conflicts) = if every_burst_conflicts {
+                (0, visits)
+            } else {
+                (visits, 0)
+            };
+            self.banks[train.bank].book_train(hits, conflicts, train.row);
+            train.advance(self.banks.len(), burst_bytes, row_bytes);
+        }
+        let mut conflicts = if every_burst_conflicts { middle } else { 0 };
+        if !every_burst_conflicts {
+            // Rows outlast a rotation, so the conflicts are the (up to
+            // `banks`) bursts starting at each row boundary, and these runs
+            // never overlap. Walk the boundaries the middle reaches.
+            let (first, end) = (banks, banks + middle);
+            let mut boundary = row_bytes - origin.row_offset;
+            while boundary <= (end - 1) * burst_bytes {
+                let opener = boundary.div_ceil(burst_bytes);
+                let (lo, hi) = (opener.max(first), (opener + banks).min(end));
+                let mut bank = ((origin.bank as u64 + lo) % banks) as usize;
+                for _ in lo..hi {
+                    self.banks[bank].rebook_hit_as_conflict();
+                    bank += 1;
+                    if bank == self.banks.len() {
+                        bank = 0;
+                    }
+                }
+                conflicts += hi - lo;
+                boundary += row_bytes;
+            }
+        }
+        train.cursor +=
+            (self.cas + self.burst) * middle + (self.precharge + self.activate) * conflicts;
+        train.row_hits += (middle - conflicts) as u32;
+        self.data_bus_free = train.cursor;
+    }
+
+    /// The per-burst definition of [`access`](Self::access): every burst is
+    /// mapped by division and walked through its bank's row state machine.
+    #[cfg(test)]
+    fn access_reference(&mut self, at: SimTime, addr: u64, bytes: u32) -> AccessOutcome {
+        self.refresh_if_due(at);
+        let burst_bytes = self.timings.burst_bytes() as u64;
         let bursts = bytes.div_ceil(burst_bytes as u32).max(1);
         let mut cursor = at;
         let mut first_start = None;
         let mut row_hits = 0;
-        // Incremental address mapping: consecutive bursts rotate across the
-        // banks one step at a time and advance the row whenever the running
-        // address crosses a row boundary, replacing the two 64-bit divisions
-        // the closed-form `map_address` pays per burst (the mapping itself
-        // is unchanged — `map_address` remains the reference definition).
-        let mut bank_idx = ((addr / burst_bytes) % banks) as usize;
-        let mut row = addr / self.timings.row_bytes as u64;
-        let mut row_rem = addr % self.timings.row_bytes as u64;
         for i in 0..bursts {
-            debug_assert_eq!((bank_idx, row), {
-                let (b, r) = self.map_address(addr, i);
-                (b, r)
-            });
+            let burst_addr = addr + i as u64 * burst_bytes;
+            let bank = ((burst_addr / burst_bytes) % self.banks.len() as u64) as usize;
+            let row = burst_addr / self.timings.row_bytes as u64;
             let (cas_ready, outcome) =
-                self.banks[bank_idx].open_row_with(cursor, row, self.activate, self.precharge);
+                self.banks[bank].open_row_with(cursor, row, self.activate, self.precharge);
             if outcome == RowOutcome::Hit {
                 row_hits += 1;
             }
             let data_start = (cas_ready + self.cas).max(self.data_bus_free);
             let data_end = data_start + self.burst;
-            self.banks[bank_idx].occupy_until(data_end);
+            self.banks[bank].occupy_until(data_end);
             self.data_bus_free = data_end;
-            if first_start.is_none() {
-                first_start = Some(data_start);
-            }
+            first_start.get_or_insert(data_start);
             cursor = data_end;
-            // Advance the mapping to the next burst.
-            bank_idx += 1;
-            if bank_idx as u64 == banks {
-                bank_idx = 0;
-            }
-            row_rem += burst_bytes;
-            while row_rem >= self.timings.row_bytes as u64 {
-                row_rem -= self.timings.row_bytes as u64;
-                row += 1;
-            }
         }
         self.stats.bus_busy += self.burst * bursts as u64;
         self.stats.accesses += 1;
@@ -284,9 +424,89 @@ impl DramBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use ssdx_sim::Frequency;
 
     fn buf() -> DramBuffer {
         DramBuffer::new(0, DdrTimings::ddr2_800())
+    }
+
+    fn state_bytes(buffer: &DramBuffer) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        buffer.encode_state(&mut enc);
+        enc.finish()
+    }
+
+    /// Timing sets with 1 to 16 banks, rows shorter than one bank rotation
+    /// and rows that are no multiple of the burst size, and refresh windows
+    /// that may not fit their interval (the slow refresh path).
+    fn timings() -> impl Strategy<Value = DdrTimings> {
+        (
+            (
+                1u32..=16,
+                prop::sample::select(vec![4u32, 8]),
+                prop::sample::select(vec![4u32, 8, 16]),
+                prop::sample::select(vec![64u32, 192, 512, 8192]),
+            ),
+            (
+                prop::sample::select(vec![100u64, 266, 400]),
+                1u32..=8,
+                1u32..=8,
+                1u32..=8,
+                1u32..=200,
+                prop::sample::select(vec![60u64, 700, 7_800]),
+            ),
+        )
+            .prop_map(
+                |(
+                    (banks, burst_length, bus_width_bytes, row_bytes),
+                    (mhz, cl, t_rcd, t_rp, t_rfc, t_refi_ns),
+                )| DdrTimings {
+                    clock: Frequency::from_mhz(mhz),
+                    cl,
+                    t_rcd,
+                    t_rp,
+                    t_ras: t_rcd + t_rp,
+                    t_rfc,
+                    t_refi_ns,
+                    burst_length,
+                    bus_width_bytes,
+                    banks,
+                    row_bytes,
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each access of a random run (1 to 40 accesses of history, then
+        /// one more) matches the per-burst reference exactly: outcome and
+        /// every byte of buffer state. Short gaps leave banks busy past the
+        /// next access's start; long ones cross refresh deadlines.
+        #[test]
+        fn closed_form_trains_match_the_per_burst_reference(
+            timings in timings(),
+            accesses in prop::collection::vec(
+                (
+                    prop_oneof![0u64..200, 0u64..50_000],
+                    0u64..(1 << 34),
+                    prop_oneof![1u32..=4096, 1u32..=(128 << 10)],
+                ),
+                2..=41,
+            ),
+        ) {
+            let mut fast = DramBuffer::new(0, timings);
+            let mut reference = fast.clone();
+            let mut at = SimTime::ZERO;
+            for (gap_ns, addr, bytes) in accesses {
+                at += SimTime::from_ns(gap_ns);
+                let got = fast.access(at, addr, bytes, AccessKind::Write);
+                let want = reference.access_reference(at, addr, bytes);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(state_bytes(&fast), state_bytes(&reference));
+            }
+        }
     }
 
     #[test]
