@@ -492,9 +492,9 @@ impl SsdConfig {
                     builder.ecc = if value == "none" {
                         EccScheme::None
                     } else if let Some(t) = value.strip_prefix("fixed-bch:") {
-                        EccScheme::fixed_bch(t.parse().map_err(|_| bad())?)
+                        EccScheme::fixed_bch(parse_bch_t(t).ok_or_else(bad)?)
                     } else if let Some(t) = value.strip_prefix("adaptive-bch:") {
-                        EccScheme::adaptive_bch(t.parse().map_err(|_| bad())?)
+                        EccScheme::adaptive_bch(parse_bch_t(t).ok_or_else(bad)?)
                     } else {
                         return Err(bad());
                     }
@@ -523,11 +523,7 @@ impl SsdConfig {
                     }
                 }
                 "over_provisioning" => {
-                    let op: f64 = value.parse().map_err(|_| bad())?;
-                    if op.is_nan() || op <= 0.0 {
-                        return Err(bad());
-                    }
-                    builder.over_provisioning = op;
+                    builder.over_provisioning = value.parse().map_err(|_| bad())?
                 }
                 "seed" => builder.seed = value.parse().map_err(|_| bad())?,
                 "read_disturb" => {
@@ -555,6 +551,16 @@ impl SsdConfig {
         }
         builder.build()
     }
+}
+
+/// Largest BCH correction capability the text format accepts. An m = 15 code
+/// over a 2 KB codeword has at most 2^15 − 1 − 16 384 parity bits, so
+/// t ≤ 1 092; a larger `t` overflows the codec model's parity arithmetic and
+/// makes its Poisson tail loop run for up to 2^32 steps per read.
+const MAX_BCH_T: u32 = 1_092;
+
+fn parse_bch_t(text: &str) -> Option<u32> {
+    text.parse().ok().filter(|&t| t <= MAX_BCH_T)
 }
 
 impl Default for SsdConfig {
@@ -754,8 +760,17 @@ impl SsdConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError::ZeroDimension`] if a structural parameter is
-    /// zero.
+    /// zero, and [`ConfigError::BadValue`] for `over_provisioning` unless it
+    /// lies in (0, 1].
     pub fn build(self) -> Result<SsdConfig, ConfigError> {
+        // Beyond 1.0 the page-mapped FTL sizing overflows; NaN, infinities
+        // and non-positive values would trip `WafModel::new`'s assertion.
+        if !(self.over_provisioning > 0.0 && self.over_provisioning <= 1.0) {
+            return Err(ConfigError::BadValue {
+                key: "over_provisioning".to_string(),
+                value: self.over_provisioning.to_string(),
+            });
+        }
         let config = SsdConfig {
             name: self.name,
             channels: self.channels,
@@ -1025,6 +1040,49 @@ mod tests {
             SsdConfig::from_text("over_provisioning = -1\n").unwrap_err(),
             ConfigError::BadValue { .. }
         ));
+    }
+
+    fn assert_over_provisioning_rejected(text: &str) {
+        assert!(matches!(
+            SsdConfig::from_text(text).unwrap_err(),
+            ConfigError::BadValue { key, .. } if key == "over_provisioning"
+        ));
+    }
+
+    #[test]
+    fn small_adaptive_bch_capability_parses() {
+        // The default table's floor of 4 bits must not exceed a smaller
+        // max_t, or the table's own assertion fires.
+        let config = SsdConfig::from_text("ecc = adaptive-bch:3\n").unwrap();
+        assert_eq!(config.ecc.t_for(0), 3);
+        assert_eq!(config.ecc.t_for(u64::MAX), 3);
+    }
+
+    #[test]
+    fn infinite_over_provisioning_is_rejected() {
+        assert_over_provisioning_rejected("over_provisioning = inf\n");
+    }
+
+    #[test]
+    fn over_provisioning_above_one_is_rejected() {
+        // Above 1.0 the page-mapped FTL sizing overflows.
+        assert_over_provisioning_rejected("over_provisioning = 1e300\n");
+        assert!(SsdConfig::builder("op")
+            .over_provisioning(1.0)
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn bch_capability_beyond_the_codeword_is_rejected() {
+        // A t beyond the codeword overflows the parity arithmetic on a read.
+        for text in ["ecc = fixed-bch:4294967295\n", "ecc = adaptive-bch:1093\n"] {
+            assert!(matches!(
+                SsdConfig::from_text(text).unwrap_err(),
+                ConfigError::BadValue { key, .. } if key == "ecc"
+            ));
+        }
+        assert!(SsdConfig::from_text("ecc = fixed-bch:1092\n").is_ok());
     }
 
     #[test]

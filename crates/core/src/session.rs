@@ -248,7 +248,8 @@ impl<'a> SimSession<'a> {
         let queue_depth = ssd.config().queue_depth() as usize;
         let page_bytes = ssd.config().nand.geometry.page_size_bytes;
         let waf = ssd.config().waf.waf(mix);
-        let buffer_capacity = ssd.config().dram_buffers as u64 * ssd.config().dram_buffer_capacity;
+        let buffer_capacity =
+            (ssd.config().dram_buffers as u64).saturating_mul(ssd.config().dram_buffer_capacity);
         let compressor = ssd.config().compressor.build();
 
         // In page-mapped mode an actual FTL is instantiated, sized to cover

@@ -227,8 +227,8 @@ pub struct StateInventoryEntry {
 pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     StateInventoryEntry {
         crate_name: "ssdx-sim",
-        carrier: Some("Resource / MultiResource / Scheduler / SimRng / LatencyHistogram"),
-        notes: "busy windows, utilization ledgers, event arena, RNG streams",
+        carrier: Some("Resource / SimRng / LatencyHistogram"),
+        notes: "busy windows, utilization ledgers, RNG streams",
     },
     StateInventoryEntry {
         crate_name: "ssdx-nand",

@@ -694,6 +694,20 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_buffer_capacity_saturates() {
+        // Sizing the write cache must not overflow buffers × capacity; an
+        // unbounded cache behaves like a huge one.
+        let mut ssd = Ssd::new(
+            small_config("huge")
+                .dram_buffer_capacity(u64::MAX)
+                .build()
+                .unwrap(),
+        );
+        let report = ssd.simulate(&small_workload(AccessPattern::SequentialWrite, 16));
+        assert_eq!(report.commands, 16);
+    }
+
+    #[test]
     #[should_panic(expected = "invalid SSD configuration")]
     fn new_panics_on_invalid_configurations() {
         let mut cfg = small_config("bad").build().unwrap();

@@ -53,7 +53,7 @@ impl AdaptiveTable {
             .iter()
             .map(|(life, frac)| {
                 let pe = (rated_pe as f64 * life).round() as u64;
-                let t = ((max_t as f64 * frac).ceil() as u32).max(4);
+                let t = ((max_t as f64 * frac).ceil() as u32).max(4).min(max_t);
                 (pe, t)
             })
             .collect();

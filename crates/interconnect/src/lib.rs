@@ -5,8 +5,7 @@
 //! internal transfer rates of the SSD. This crate models an AMBA AHB v2.0
 //! bus with 16 master and 16 slave ports, a round-robin arbiter, INCR burst
 //! transfers and split-transaction support (modelled as re-arbitration
-//! instead of bus stalling), plus the Multi-Layer AHB variant the paper
-//! mentions as a possible evolution.
+//! instead of bus stalling).
 //!
 //! # Example
 //!
@@ -22,7 +21,5 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ahb;
-pub mod multilayer;
 
 pub use ahb::{AhbBus, AhbConfig, AhbError, BurstKind, BusStats, Transfer};
-pub use multilayer::MultiLayerAhb;

@@ -119,6 +119,19 @@ fn panic_scope_stops_at_hot_path_modules() {
 }
 
 #[test]
+fn every_hot_path_names_an_existing_file() {
+    // A deleted or renamed module would leave the panic rule silently
+    // auditing nothing, so the scope table must track the real tree.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for path in ssdx_lint::HOT_PATHS {
+        assert!(
+            root.join(path).is_file(),
+            "HOT_PATHS entry {path} names no file in the workspace"
+        );
+    }
+}
+
+#[test]
 fn print_scope_stops_at_library_sources() {
     // Same macros, examples/ path: the scope table says clean.
     assert!(run_fixture("print_allowed_outside_lib.rs").is_empty());

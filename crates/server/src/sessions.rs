@@ -463,6 +463,29 @@ mod tests {
     }
 
     #[test]
+    fn edge_config_values_are_answered_not_failed() {
+        // `from_text` runs outside the simulation guard, so a config value
+        // it accepts but the models cannot run must be rejected there as
+        // `BadConfig`, never surface as a panic or `SessionFailed`.
+        let host = SessionHost::new(8);
+        for line in [
+            "over_provisioning = inf",
+            "over_provisioning = 1e300",
+            "ecc = fixed-bch:4294967295",
+        ] {
+            let text = format!("{}{line}\n", small_config_text());
+            let err = host.create(&text, &small_spec()).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadConfig, "{line}");
+        }
+        let text = format!("{}ecc = adaptive-bch:3\n", small_config_text());
+        let (id, _) = host.create(&text, &small_spec()).unwrap();
+        assert_eq!(
+            host.advance(id, AdvanceMode::Steps(64)).unwrap().completed,
+            64
+        );
+    }
+
+    #[test]
     fn fault_config_rides_in_the_config_text() {
         // Fault injection needs no wire change: the degraded-device keys
         // travel inside the CreateSession config text, and two sessions

@@ -4,16 +4,22 @@
 //! simulated time never runs backwards, resources never double-book, the WAF
 //! abstraction never deflates traffic, the page-mapped FTL never aliases two
 //! logical pages onto one physical page, ECC latency grows with correction
-//! strength, and the assembled SSD never reports more throughput than its
-//! own host interface could deliver.
+//! strength, the assembled SSD never reports more throughput than its own
+//! host interface could deliver, and config text parses totally.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
-use ssdexplorer::core::{PageAllocator, Ssd, SsdConfig};
+use ssdexplorer::channel::GangMode;
+use ssdexplorer::core::{
+    CachePolicy, CompressorConfig, FaultConfig, FtlMode, HostInterfaceConfig, PageAllocator, Ssd,
+    SsdConfig,
+};
 use ssdexplorer::ecc::{BchCodec, EccScheme};
 use ssdexplorer::ftl::{PageMappedFtl, WafModel, WorkloadMix};
-use ssdexplorer::hostif::{AccessPattern, HostInterface, SataInterface, Workload};
+use ssdexplorer::hostif::{AccessPattern, HostInterface, SataInterface, Workload, ZipfianWorkload};
 use ssdexplorer::nand::{MlcTimingProfile, PageKind, WearModel};
-use ssdexplorer::sim::{Resource, RoundRobinArbiter, Scheduler, SimTime};
+use ssdexplorer::sim::{Resource, RoundRobinArbiter, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -25,20 +31,6 @@ proptest! {
         prop_assert_eq!(ta + tb, tb + ta);
         prop_assert!(ta + tb >= ta);
         prop_assert_eq!((ta + tb).saturating_sub(tb), ta);
-    }
-
-    #[test]
-    fn scheduler_always_delivers_in_time_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut scheduler = Scheduler::new();
-        for (i, t) in times.iter().enumerate() {
-            scheduler.schedule(SimTime::from_ns(*t), i);
-        }
-        let mut last = SimTime::ZERO;
-        while let Some(event) = scheduler.pop() {
-            prop_assert!(event.at >= last, "events must come out in time order");
-            last = event.at;
-        }
-        prop_assert_eq!(scheduler.processed(), times.len() as u64);
     }
 
     #[test]
@@ -226,5 +218,177 @@ proptest! {
                 report.throughput_mbps, ideal);
             prop_assert!(report.throughput_mbps > 0.0);
         }
+    }
+}
+
+// Config text is an untrusted edge: the server parses whatever a client
+// sends. Parsing must be total, and a text that parses must simulate.
+
+/// Keys whose value sizes an allocation in `Ssd::try_new` (a component per
+/// channel, die, buffer or core). They are parsed but not simulated here:
+/// bounding them is admission control, not parsing.
+const SIZING_KEYS: &[&str] = &[
+    "channels",
+    "ways",
+    "dies_per_way",
+    "dram_buffers",
+    "cpu_cores",
+];
+
+/// Edge values for every numeric type the parser reads, plus junk.
+const EDGE_TOKENS: &str = "0 3 4 4294967295 18446744073709551615 -1 1e300 inf NaN garbage";
+
+/// Every enum word the parser accepts.
+const ENUM_WORDS: &str = "sata2 sata3 nvme-gen2-x8 on off true false cache no-cache none host \
+                          channel waf page-mapped real shared-bus shared-control";
+
+/// Every key `from_text` understands: all that `to_text` emits for a
+/// degraded device, plus `queue_depth`, which it parses but never emits.
+fn config_keys() -> Vec<String> {
+    let faults = FaultConfig {
+        read_disturb_per_read: 0.5,
+        retention_scale: 2.0,
+        retire_pe_limit: 1,
+        power_loss_at: 1,
+    };
+    let text = SsdConfig::builder("keys")
+        .faults(faults)
+        .build()
+        .expect("valid")
+        .to_text();
+    let emitted = text.lines().filter_map(|line| line.split_once('='));
+    emitted
+        .map(|(key, _)| key.trim().to_string())
+        .chain(["queue_depth".into()])
+        .collect()
+}
+
+/// The enum words, then each edge token bare and inside every
+/// parameterised enum word.
+fn config_tokens() -> Vec<String> {
+    let mut tokens: Vec<String> = ENUM_WORDS.split_whitespace().map(String::from).collect();
+    for edge in EDGE_TOKENS.split_whitespace() {
+        for form in ["", "fixed-bch:", "adaptive-bch:", "nvme-gen2-x"] {
+            tokens.push(format!("{form}{edge}"));
+        }
+        tokens.push(format!("nvme-gen{edge}-x8"));
+    }
+    tokens
+}
+
+#[test]
+fn every_edge_value_of_every_config_key_parses_or_is_rejected_and_then_simulates() {
+    let commands = ZipfianWorkload::new(0.9, 1)
+        .command_count(16)
+        .footprint_bytes(1 << 20);
+    let (keys, tokens) = (config_keys(), config_tokens());
+    for ftl in [FtlMode::WafAbstraction, FtlMode::PageMapped] {
+        let base = SsdConfig::builder("edge")
+            .topology(2, 2, 1)
+            .dram_buffers(2)
+            .ftl_mode(ftl)
+            .build()
+            .expect("base config is valid")
+            .to_text();
+        for key in &keys {
+            for token in &tokens {
+                // A later line overrides an earlier one, so appending the
+                // edge value replaces the key's base line.
+                let text = format!("{base}{key} = {token}\n");
+                let Ok(parsed) = catch_unwind(|| SsdConfig::from_text(&text)) else {
+                    panic!("from_text panicked on `{key} = {token}` ({ftl:?} base)");
+                };
+                let Ok(config) = parsed else { continue };
+                if SIZING_KEYS.contains(&key.as_str()) {
+                    continue;
+                }
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    Ssd::try_new(config).map(|mut ssd| ssd.simulate(&commands).commands)
+                }));
+                assert!(
+                    ran.is_ok(),
+                    "a 16-command session panicked on `{key} = {token}` ({ftl:?} base)"
+                );
+            }
+        }
+    }
+}
+
+fn builder_config() -> impl Strategy<Value = SsdConfig> {
+    let shape = (1u32..5, 1u32..5, 1u32..3, 1u32..5, 1u32..4, any::<u64>());
+    let ecc = prop_oneof![
+        Just(EccScheme::None),
+        (0u32..100).prop_map(EccScheme::fixed_bch),
+        (0u32..100).prop_map(EccScheme::adaptive_bch),
+    ];
+    let host = prop::sample::select(vec![
+        HostInterfaceConfig::Sata2,
+        HostInterfaceConfig::Sata3,
+        HostInterfaceConfig::nvme_gen2_x8(),
+    ]);
+    let knobs = (
+        ecc,
+        prop::sample::select(vec![
+            CompressorConfig::None,
+            CompressorConfig::HostSide,
+            CompressorConfig::ChannelSide,
+        ]),
+        prop::sample::select(vec![FtlMode::WafAbstraction, FtlMode::PageMapped]),
+        host,
+        prop::sample::select(vec![CachePolicy::WriteCache, CachePolicy::NoCache]),
+        prop::sample::select(vec![GangMode::SharedBus, GangMode::SharedControl]),
+    );
+    let faults = (
+        0.0f64..1.0,
+        0.5f64..4.0,
+        prop_oneof![Just(u64::MAX), 1u64..10_000],
+        prop_oneof![Just(u64::MAX), 0u64..10_000],
+        0.01f64..1.0,
+    );
+    (shape, knobs, faults).prop_map(
+        |(
+            (channels, ways, dies, buffers, cores, seed),
+            (ecc, compressor, ftl, host, cache, gang),
+            (read_disturb, retention, retire, power_loss, op),
+        )| {
+            SsdConfig::builder(format!("gen-{channels}x{ways}x{dies}"))
+                .topology(channels, ways, dies)
+                .dram_buffers(buffers)
+                .cpu_cores(cores)
+                .seed(seed)
+                .ecc(ecc)
+                .compressor(compressor)
+                .ftl_mode(ftl)
+                .host_interface(host)
+                .cache_policy(cache)
+                .gang(gang)
+                .over_provisioning(op)
+                .faults(FaultConfig {
+                    read_disturb_per_read: read_disturb,
+                    retention_scale: retention,
+                    retire_pe_limit: retire,
+                    power_loss_at: power_loss,
+                })
+                .build()
+                .expect("generated config is valid")
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn config_parser_returns_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        prop_assert!(catch_unwind(|| SsdConfig::from_text(&text)).is_ok(), "from_text panicked on {text:?}");
+    }
+
+    #[test]
+    fn config_text_is_a_fixed_point_of_parsing(config in builder_config()) {
+        let text = config.to_text();
+        let parsed = SsdConfig::from_text(&text);
+        prop_assert!(parsed.is_ok(), "{text} did not parse: {parsed:?}");
+        prop_assert_eq!(parsed.expect("checked above").to_text(), text);
     }
 }
