@@ -38,8 +38,9 @@
 //! Any change to the byte layout — field order, a new field, a different
 //! sentinel shift — must bump [`SNAPSHOT_VERSION`]. Old images then fail
 //! with a version error instead of decoding to silently-wrong state; the
-//! committed golden fixture `tests/golden/snapshot_v1.bin` turns a
-//! forgotten bump into a test failure.
+//! committed golden fixture `tests/golden/snapshot_v2.bin` turns a
+//! forgotten bump into a test failure. Version 2 dropped the AHB's
+//! arbiter, per-master statistics and per-slave wait states.
 //!
 //! # Determinism
 //!
@@ -57,7 +58,7 @@ use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SSDX";
 
 /// Current snapshot format version. Bump on any byte-layout change.
-pub const SNAPSHOT_VERSION: u8 = 1;
+pub const SNAPSHOT_VERSION: u8 = 2;
 
 /// A validated, versioned binary image of device (and optionally session)
 /// state.
@@ -245,7 +246,8 @@ pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     StateInventoryEntry {
         crate_name: "ssdx-interconnect",
         carrier: Some("AhbBus"),
-        notes: "bus resource, arbiter rotation, per-master stats, wait states",
+        notes: "bus resource timeline; ownership is first come, first served \
+                in reservation order",
     },
     StateInventoryEntry {
         crate_name: "ssdx-cpu",

@@ -1,7 +1,7 @@
 //! Single-layer AMBA AHB bus.
 
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
-use ssdx_sim::{Frequency, Resource, RoundRobinArbiter, SimTime};
+use ssdx_sim::{Frequency, Resource, SimTime};
 use std::fmt;
 
 /// Static configuration of an AHB bus instance.
@@ -17,7 +17,7 @@ pub struct AhbConfig {
     pub slaves: u32,
     /// Maximum beats per burst (INCR16).
     pub max_burst_beats: u32,
-    /// Default wait states inserted by slaves per data beat.
+    /// Wait states inserted by slaves per data beat.
     pub default_wait_states: u32,
     /// Cycles lost to arbitration when the bus changes owner.
     pub arbitration_cycles: u32,
@@ -25,7 +25,7 @@ pub struct AhbConfig {
 
 impl AhbConfig {
     /// The configuration used by the paper: AMBA AHB 2.0 at 200 MHz, 32-bit
-    /// data, 16 masters and 16 slaves, round-robin arbitration, INCR16 bursts.
+    /// data, 16 masters and 16 slaves, INCR16 bursts.
     pub fn paper_default() -> Self {
         AhbConfig {
             clock: Frequency::from_mhz(200),
@@ -120,7 +120,7 @@ impl BurstKind {
 /// Timing of one completed bus transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
-    /// When the first burst of this transfer won arbitration.
+    /// When the bus was granted to this transfer.
     pub start: SimTime,
     /// When the last data beat completed.
     pub end: SimTime,
@@ -132,25 +132,15 @@ pub struct Transfer {
     pub cycles: u64,
 }
 
-/// Per-master accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusStats {
-    /// Transfers completed.
-    pub transfers: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Total time spent owning the bus.
-    pub ownership: SimTime,
-}
-
 /// A single-layer AHB bus shared by all masters and slaves.
+///
+/// Ownership is first come, first served in reservation order: the bus is
+/// one [`Resource`] timeline, so which master issues a transfer never
+/// changes its timing.
 #[derive(Debug, Clone)]
 pub struct AhbBus {
     config: AhbConfig,
     bus: Resource,
-    arbiter: RoundRobinArbiter,
-    per_master: Vec<BusStats>,
-    slave_wait_states: Vec<u32>,
 }
 
 impl AhbBus {
@@ -165,41 +155,12 @@ impl AhbBus {
         AhbBus {
             config,
             bus: Resource::new("ahb"),
-            arbiter: RoundRobinArbiter::new(config.masters as usize),
-            per_master: vec![BusStats::default(); config.masters as usize],
-            slave_wait_states: vec![config.default_wait_states; config.slaves as usize],
         }
     }
 
     /// Configuration in use.
     pub fn config(&self) -> &AhbConfig {
         &self.config
-    }
-
-    /// Overrides the wait states of one slave port.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AhbError::PortOutOfRange`] if the slave index is invalid.
-    pub fn set_slave_wait_states(&mut self, slave: u32, wait_states: u32) -> Result<(), AhbError> {
-        let slot = self
-            .slave_wait_states
-            .get_mut(slave as usize)
-            .ok_or(AhbError::PortOutOfRange)?;
-        *slot = wait_states;
-        Ok(())
-    }
-
-    /// Statistics of one master port.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AhbError::PortOutOfRange`] if the master index is invalid.
-    pub fn master_stats(&self, master: u32) -> Result<BusStats, AhbError> {
-        self.per_master
-            .get(master as usize)
-            .copied()
-            .ok_or(AhbError::PortOutOfRange)
     }
 
     /// Earliest instant at which the bus is idle.
@@ -212,15 +173,11 @@ impl AhbBus {
         self.bus.utilization(horizon)
     }
 
-    /// Number of cycles a transfer of `bytes` bytes to `slave` occupies,
-    /// including arbitration, address phases and wait states.
-    pub fn transfer_cycles(&self, slave: u32, bytes: u32) -> u64 {
+    /// Number of cycles a transfer of `bytes` bytes occupies, including
+    /// arbitration, address phases and the configured wait states.
+    pub fn transfer_cycles(&self, bytes: u32) -> u64 {
         let beats_total = bytes.div_ceil(self.config.data_width_bytes).max(1);
-        let wait = self
-            .slave_wait_states
-            .get(slave as usize)
-            .copied()
-            .unwrap_or(self.config.default_wait_states) as u64;
+        let wait = self.config.default_wait_states as u64;
         let mut remaining = beats_total;
         let mut cycles = 0u64;
         while remaining > 0 {
@@ -236,9 +193,9 @@ impl AhbBus {
     }
 
     /// Performs a transfer of `bytes` bytes from `master` to `slave`,
-    /// starting no earlier than `at`. The bus is granted burst by burst but
-    /// the whole transfer is accounted as one ownership window (AHB masters
-    /// hold the bus for their queued bursts under round-robin fairness).
+    /// starting no earlier than `at`. The whole transfer is one ownership
+    /// window, granted first come, first served: it starts once the bus is
+    /// free of every earlier reservation.
     ///
     /// # Panics
     ///
@@ -265,20 +222,11 @@ impl AhbBus {
         if master >= self.config.masters || slave >= self.config.slaves {
             return Err(AhbError::PortOutOfRange);
         }
-        // Record the requesting master with the arbiter so grant history (and
-        // therefore fairness counters) reflect actual traffic.
-        let _ = self.arbiter.grant_among(&[master as usize]);
-
         let beats_total = bytes.div_ceil(self.config.data_width_bytes).max(1);
-        let cycles = self.transfer_cycles(slave, bytes);
+        let cycles = self.transfer_cycles(bytes);
         let duration = self.config.clock.cycles_to_time(cycles);
         let grant = self.bus.reserve(at, duration);
-
         let bursts = beats_total.div_ceil(self.config.max_burst_beats);
-        let stats = &mut self.per_master[master as usize];
-        stats.transfers += 1;
-        stats.bytes += bytes as u64;
-        stats.ownership += duration;
 
         Ok(Transfer {
             start: grant.start,
@@ -294,33 +242,15 @@ impl AhbBus {
         self.config.clock.as_hz() * self.config.data_width_bytes as u64
     }
 
-    /// Resets dynamic state and statistics.
+    /// Resets the bus timeline.
     pub fn reset(&mut self) {
         self.bus.reset();
-        self.arbiter.reset();
-        for s in &mut self.per_master {
-            *s = BusStats::default();
-        }
     }
 
-    /// Encodes the bus's mutable state, in stable field order: the bus
-    /// resource, the round-robin arbiter, per-master statistics
-    /// (construction-fixed count, no length prefix; transfers, bytes,
-    /// ownership each), then the per-slave wait-state overrides. Wait states
-    /// are runtime-mutable via
-    /// [`set_slave_wait_states`](Self::set_slave_wait_states), so they are
-    /// snapshot state even though they usually hold the configured default.
+    /// Encodes the bus's mutable state: its resource timeline, the only
+    /// state a transfer changes.
     pub fn encode_state(&self, enc: &mut Encoder) {
         self.bus.encode_state(enc);
-        self.arbiter.encode_state(enc);
-        for s in &self.per_master {
-            enc.put_u64(s.transfers);
-            enc.put_u64(s.bytes);
-            enc.put_time(s.ownership);
-        }
-        for &w in &self.slave_wait_states {
-            enc.put_u32(w);
-        }
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) onto
@@ -330,17 +260,7 @@ impl AhbBus {
     ///
     /// Returns a [`DecodeError`] on truncated or malformed input.
     pub fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
-        self.bus.decode_state(dec)?;
-        self.arbiter.decode_state(dec)?;
-        for s in &mut self.per_master {
-            s.transfers = dec.get_u64()?;
-            s.bytes = dec.get_u64()?;
-            s.ownership = dec.get_time()?;
-        }
-        for w in &mut self.slave_wait_states {
-            *w = dec.get_u32()?;
-        }
-        Ok(())
+        self.bus.decode_state(dec)
     }
 }
 
@@ -368,8 +288,8 @@ mod tests {
     #[test]
     fn transfer_cycle_count_scales_with_size() {
         let bus = AhbBus::new(AhbConfig::default());
-        let small = bus.transfer_cycles(0, 4);
-        let large = bus.transfer_cycles(0, 4096);
+        let small = bus.transfer_cycles(4);
+        let large = bus.transfer_cycles(4096);
         assert!(small < 10);
         // 4096/4 = 1024 beats, 64 bursts of 16 beats: 64*(1+1+16) = 1152.
         assert_eq!(large, 64 * (1 + 1 + 16));
@@ -378,10 +298,12 @@ mod tests {
 
     #[test]
     fn wait_states_slow_down_a_slave() {
-        let mut bus = AhbBus::new(AhbConfig::default());
-        let fast = bus.transfer_cycles(1, 1024);
-        bus.set_slave_wait_states(1, 2).unwrap();
-        let slow = bus.transfer_cycles(1, 1024);
+        let fast = AhbBus::new(AhbConfig::default()).transfer_cycles(1024);
+        let slow = AhbBus::new(AhbConfig {
+            default_wait_states: 2,
+            ..AhbConfig::default()
+        })
+        .transfer_cycles(1024);
         assert!(slow > fast);
     }
 
@@ -413,23 +335,8 @@ mod tests {
             bus.try_transfer(SimTime::ZERO, 0, 99, 64).unwrap_err(),
             AhbError::PortOutOfRange
         );
-        assert_eq!(bus.master_stats(99).unwrap_err(), AhbError::PortOutOfRange);
-        assert_eq!(
-            bus.set_slave_wait_states(99, 1).unwrap_err(),
-            AhbError::PortOutOfRange
-        );
-    }
-
-    #[test]
-    fn stats_accumulate_per_master() {
-        let mut bus = AhbBus::new(AhbConfig::default());
-        bus.transfer(SimTime::ZERO, 2, 0, 512);
-        bus.transfer(SimTime::ZERO, 2, 1, 512);
-        let s = bus.master_stats(2).unwrap();
-        assert_eq!(s.transfers, 2);
-        assert_eq!(s.bytes, 1024);
-        assert!(s.ownership > SimTime::ZERO);
-        assert_eq!(bus.master_stats(3).unwrap().transfers, 0);
+        // The last valid ports still transfer.
+        assert!(bus.try_transfer(SimTime::ZERO, 15, 15, 64).is_ok());
     }
 
     #[test]
@@ -444,7 +351,7 @@ mod tests {
         bus.transfer(SimTime::ZERO, 0, 0, 4096);
         bus.reset();
         assert_eq!(bus.free_at(), SimTime::ZERO);
-        assert_eq!(bus.master_stats(0).unwrap().transfers, 0);
+        assert_eq!(bus.utilization(SimTime::from_us(1)), 0.0);
     }
 
     #[test]

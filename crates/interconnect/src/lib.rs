@@ -3,9 +3,10 @@
 //! SSDExplorer keeps the system interconnect at RTL-equivalent accuracy
 //! because arbitration, burst formation and wait states directly shape the
 //! internal transfer rates of the SSD. This crate models an AMBA AHB v2.0
-//! bus with 16 master and 16 slave ports, a round-robin arbiter, INCR burst
-//! transfers and split-transaction support (modelled as re-arbitration
-//! instead of bus stalling).
+//! bus with 16 master and 16 slave ports, INCR burst transfers with
+//! per-burst arbitration and address cycles, and slave wait states. Bus
+//! ownership is first come, first served in reservation order, so a
+//! transfer's timing never depends on which master issues it.
 //!
 //! # Example
 //!
@@ -22,4 +23,4 @@
 
 pub mod ahb;
 
-pub use ahb::{AhbBus, AhbConfig, AhbError, BurstKind, BusStats, Transfer};
+pub use ahb::{AhbBus, AhbConfig, AhbError, BurstKind, Transfer};

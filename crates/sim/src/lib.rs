@@ -3,18 +3,17 @@
 //! The original SSDExplorer is built on SystemC's event kernel. This
 //! reproduction times every command instead by reserving service windows on
 //! component timelines, so this crate provides a simulated time base with
-//! picosecond resolution ([`SimTime`]), resource reservation primitives used
-//! to model shared hardware blocks ([`Resource`], [`RoundRobinArbiter`]),
-//! collection of performance statistics ([`stats`]), a small deterministic
-//! random number generator ([`rng::SimRng`]) so that simulations are
-//! reproducible, and the snapshot [`codec`].
+//! picosecond resolution ([`SimTime`]), the resource reservation primitive
+//! used to model shared hardware blocks ([`Resource`]), collection of
+//! performance statistics ([`stats`]), a small deterministic random number
+//! generator ([`rng::SimRng`]) so that simulations are reproducible, and the
+//! snapshot [`codec`].
 //!
 //! Every primitive is thread-safe by construction — plain data with no
 //! interior mutability, no globals, no thread-locals — so a whole platform
 //! built from them is `Send` and can be constructed and driven on a worker
 //! thread of a parallel sweep executor. A compile-time test pins
-//! [`SimRng`](rng::SimRng), [`Resource`] and [`RoundRobinArbiter`] as
-//! `Send + Sync`.
+//! [`SimRng`](rng::SimRng) and [`Resource`] as `Send + Sync`.
 //!
 //! # Example
 //!
@@ -32,7 +31,6 @@
 
 #![warn(rust_2018_idioms)]
 
-pub mod arbiter;
 pub mod codec;
 pub mod hash;
 pub mod resource;
@@ -40,7 +38,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arbiter::RoundRobinArbiter;
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use resource::{Grant, Resource};
 pub use time::{Frequency, SimTime};
@@ -63,8 +60,6 @@ mod thread_safety {
         assert_sync::<rng::SimRng>();
         assert_send::<Resource>();
         assert_sync::<Resource>();
-        assert_send::<RoundRobinArbiter>();
-        assert_sync::<RoundRobinArbiter>();
         assert_send::<stats::LatencyHistogram>();
         assert_sync::<stats::LatencyHistogram>();
     }

@@ -129,7 +129,6 @@ fn firmware_descriptor_traffic_fits_between_dram_accesses() {
     assert!(data.start >= firmware.end);
     assert!(data.end > data.start);
     assert!(cpu.stats().cycles > 0);
-    assert_eq!(ahb.master_stats(0).unwrap().transfers, 1);
     assert_eq!(dram.stats().accesses, 1);
 }
 
