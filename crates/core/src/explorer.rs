@@ -270,7 +270,7 @@ pub struct SweepJob {
     pub config: SsdConfig,
     /// Warmup trimming applied to the run's per-class tail histograms
     /// (inherited from [`Explorer::steady_state`]; never affects the
-    /// legacy report fields).
+    /// other report fields).
     pub steady_state: SteadyStateCutoff,
     prepare: Vec<PrepareHook>,
     warm_image: Option<Arc<Snapshot>>,
@@ -512,7 +512,7 @@ impl Explorer {
     /// Applies warmup trimming to every evaluated point: completions the
     /// cutoff rejects are excluded from the per-class tail histograms
     /// ([`PerfReport::class_latency`](crate::PerfReport::class_latency)).
-    /// The legacy report fields are untouched, so a sweep with a cutoff is
+    /// The other report fields are untouched, so a sweep with a cutoff is
     /// still byte-identical to one without it everywhere the golden
     /// equivalence capture looks.
     pub fn steady_state(mut self, cutoff: SteadyStateCutoff) -> Self {
@@ -1211,7 +1211,7 @@ mod tests {
             192 - 64,
             "the first 64 completions are warmup"
         );
-        // The legacy fields are untouched by the cutoff.
+        // The other fields are untouched by the cutoff.
         let untrimmed = Explorer::new(small_table().remove(0))
             .run(&quick_workload())
             .unwrap();
@@ -1286,8 +1286,8 @@ mod tests {
 
     #[test]
     fn sweep_table_rendering_is_pinned() {
+        use crate::metrics::LatencyHistogram;
         use crate::report::{PerfReport, UtilizationBreakdown};
-        use ssdx_sim::stats::LatencyHistogram;
         use ssdx_sim::SimTime;
         let mut latency = LatencyHistogram::new();
         latency.record(SimTime::from_us(100));
@@ -1304,7 +1304,7 @@ mod tests {
             waf: 1.0,
             nand_page_programs: 20,
             nand_page_reads: 0,
-            latency: latency.clone(),
+            latency: Box::new(latency),
             utilization: UtilizationBreakdown::default(),
             class_latency: Box::new(crate::metrics::ClassHistograms::new()),
         };

@@ -61,13 +61,10 @@ const BUCKETS: usize = OCTAVES * SUBS;
 /// relative error of it — the bound the `tail_metrics` property suite
 /// asserts against exact sorted-vector quantiles.
 ///
-/// Not to be confused with the legacy whole-run
-/// [`ssdx_sim::stats::LatencyHistogram`] carried in
-/// [`PerfReport::latency`](crate::PerfReport::latency): that one keeps the
-/// paper-era power-of-two buckets and is part of the golden capture
-/// format; *this* type (re-exported as `ssdx_core::LatencyHistogram`) is
-/// the steady-state tail-metrics histogram behind
-/// [`PerfReport::class_latency`](crate::PerfReport::class_latency).
+/// It is the one histogram type of the platform: the whole-run
+/// [`PerfReport::latency`](crate::PerfReport::latency) and the steady-state
+/// per-class [`PerfReport::class_latency`](crate::PerfReport::class_latency)
+/// both use it.
 ///
 /// # Example
 ///
@@ -303,14 +300,26 @@ impl Default for LatencyHistogram {
 }
 
 impl std::fmt::Debug for LatencyHistogram {
-    /// Compact rendering: the 1 920-entry bucket array is summarised as its
-    /// derived statistics instead of dumped raw.
+    /// Renders the exact statistics and every non-zero bucket, keyed by its
+    /// lower bound in nanoseconds, instead of the 1 920-entry array. This
+    /// is part of the [`PerfReport`](crate::PerfReport) golden capture
+    /// format, so it pins the whole distribution.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct NonZero<'a>(&'a [u64; BUCKETS]);
+        impl std::fmt::Debug for NonZero<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let nonzero = self.0.iter().enumerate().filter(|&(_, &n)| n != 0);
+                f.debug_map()
+                    .entries(nonzero.map(|(i, n)| (LatencyHistogram::lower_bound(i), n)))
+                    .finish()
+            }
+        }
         f.debug_struct("LatencyHistogram")
             .field("count", &self.count)
-            .field("mean", &self.mean())
-            .field("min", &self.min())
-            .field("max", &self.max())
+            .field("sum_ns", &self.sum_ns)
+            .field("min_ns", &self.min_ns)
+            .field("max_ns", &self.max_ns)
+            .field("buckets", &NonZero(&self.buckets))
             .finish()
     }
 }
@@ -474,9 +483,9 @@ impl Default for ClassHistograms {
 ///
 /// The transient while caches fill and queues ramp up is not what a fleet's
 /// p99 means; trimming it is standard benchmarking practice (and what the
-/// `experiments -- tails` driver does). The cutoff never affects the legacy
-/// whole-run [`PerfReport::latency`](crate::PerfReport::latency) histogram,
-/// so existing report fields stay byte-identical.
+/// `experiments -- tails` driver does). The cutoff never affects the
+/// whole-run [`PerfReport::latency`](crate::PerfReport::latency) histogram
+/// or any other report field outside `class_latency`.
 ///
 /// # Example
 ///
@@ -926,7 +935,6 @@ mod tests {
     fn pinned_point(coordinates: &[(&str, &str)], workload: &str) -> SweepPoint {
         use crate::explorer::AxisValue;
         use crate::report::{PerfReport, UtilizationBreakdown};
-        use ssdx_sim::stats::LatencyHistogram as LegacyHistogram;
 
         let mut classes = ClassHistograms::new();
         for us in [100u64, 200, 300, 400] {
@@ -952,7 +960,7 @@ mod tests {
                 waf: 1.0,
                 nand_page_programs: 2,
                 nand_page_reads: 8,
-                latency: LegacyHistogram::new(),
+                latency: Box::new(LatencyHistogram::new()),
                 utilization: UtilizationBreakdown::default(),
                 class_latency: Box::new(classes),
             },

@@ -1,8 +1,7 @@
 //! Performance reports: the per-component breakdown the paper's figures are
 //! built from, extended with per-command-class tail-latency histograms.
 
-use crate::metrics::{ClassHistograms, CommandClass, TailSummary};
-use ssdx_sim::stats::LatencyHistogram;
+use crate::metrics::{ClassHistograms, CommandClass, LatencyHistogram, TailSummary};
 use ssdx_sim::SimTime;
 use std::fmt;
 
@@ -51,11 +50,11 @@ pub struct PerfReport {
     pub nand_page_programs: u64,
     /// Physical NAND page reads issued.
     pub nand_page_reads: u64,
-    /// End-to-end command latency distribution over the whole run — the
-    /// legacy [`ssdx_sim::stats::LatencyHistogram`] (power-of-two buckets,
-    /// part of the golden capture format), distinct from the metrics
-    /// histograms in [`class_latency`](Self::class_latency).
-    pub latency: LatencyHistogram,
+    /// End-to-end command latency distribution over the whole run, every
+    /// command included (no warmup cut, unlike
+    /// [`class_latency`](Self::class_latency)). Boxed for the reason
+    /// `class_latency` is.
+    pub latency: Box<LatencyHistogram>,
     /// Per-component utilization.
     pub utilization: UtilizationBreakdown,
     /// Steady-state latency histograms per command class (read / write /
@@ -70,11 +69,12 @@ pub struct PerfReport {
 
 impl fmt::Debug for PerfReport {
     /// The `Debug` rendering is the golden-equivalence capture format: it
-    /// pins exactly the pre-metrics field set, character for character
+    /// pins every field but `class_latency`, character for character
     /// (`tests/golden/perf_reports.txt` compares it byte-for-byte across
-    /// every subsystem corner). The tail-latency extension renders through
-    /// [`tails`](Self::tails) and `Display` instead, so growing the report
-    /// never invalidates the capture.
+    /// every subsystem corner), including every non-zero bucket of the
+    /// whole-run [`latency`](Self::latency) histogram. The steady-state
+    /// tails render through [`tails`](Self::tails) and `Display` instead,
+    /// so a warmup cutoff never changes the capture.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PerfReport")
             .field("config_name", &self.config_name)
@@ -101,7 +101,8 @@ impl PerfReport {
         self.latency.mean()
     }
 
-    /// Approximate 99th-percentile command latency.
+    /// 99th-percentile command latency over the whole run, at most
+    /// [`LatencyHistogram::RELATIVE_ERROR`] above the exact value.
     pub fn p99_latency(&self) -> SimTime {
         self.latency.percentile(99.0)
     }
@@ -222,7 +223,7 @@ mod tests {
             waf: 1.0,
             nand_page_programs: 4,
             nand_page_reads: 0,
-            latency,
+            latency: Box::new(latency),
             utilization: UtilizationBreakdown {
                 host_link: 0.5,
                 dram: 0.1,

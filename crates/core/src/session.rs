@@ -32,7 +32,7 @@
 //! ```
 
 use crate::config::{CachePolicy, FtlMode};
-use crate::metrics::{ClassHistograms, SteadyStateCutoff};
+use crate::metrics::{ClassHistograms, LatencyHistogram, SteadyStateCutoff};
 use crate::report::{PerfReport, UtilizationBreakdown};
 use crate::snapshot::{self, Snapshot};
 use crate::ssd::Ssd;
@@ -42,7 +42,6 @@ use ssdx_ftl::{PageMappedFtl, WorkloadMix};
 use ssdx_hostif::{CommandSource, HostCommand, HostOp};
 use ssdx_nand::NandOp;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
-use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::SimTime;
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -227,7 +226,7 @@ pub struct SimSession<'a> {
     in_flight: BinaryHeap<Reverse<(SimTime, u64)>>,
     in_flight_bytes: u64,
     waf_carry: f64,
-    latency: LatencyHistogram,
+    latency: Box<LatencyHistogram>,
     classes: ClassHistograms,
     steady_state: SteadyStateCutoff,
     total_bytes: u64,
@@ -318,7 +317,7 @@ impl<'a> SimSession<'a> {
             in_flight,
             in_flight_bytes: 0,
             waf_carry: 0.0,
-            latency: LatencyHistogram::new(),
+            latency: Box::new(LatencyHistogram::new()),
             classes: ClassHistograms::new(),
             steady_state: SteadyStateCutoff::None,
             total_bytes: 0,
@@ -648,14 +647,13 @@ impl<'a> SimSession<'a> {
             Some(f) => f.stats().waf(),
             None => self.waf,
         };
-        let latency = std::mem::take(&mut self.latency);
         let report = self.ssd.build_report(
             &self.label,
             self.commands.len() as u64,
             self.total_bytes,
             self.last_completion,
             reported_waf,
-            latency,
+            self.latency,
             self.classes,
         );
         for probe in &mut self.probes {
@@ -1038,7 +1036,7 @@ mod tests {
         assert_eq!(write.count, 96);
         assert_eq!(report.tail(CommandClass::Read).count, 0);
         assert!(write.p50 <= write.p99 && write.p99 <= write.p999);
-        // The legacy whole-run histogram still counts everything.
+        // The whole-run histogram still counts everything.
         assert_eq!(report.latency.count(), 128);
 
         // A CompletionLog digests the same records to the same histograms.
@@ -1062,7 +1060,7 @@ mod tests {
         let trimmed = session.finish();
         // Debug covers exactly the pre-metrics field set (the golden
         // format), so byte-equality here proves the cutoff is invisible to
-        // every legacy field.
+        // every other field.
         assert_eq!(format!("{plain:?}"), format!("{trimmed:?}"));
         assert!(trimmed.class_latency.count() < plain.class_latency.count());
     }

@@ -40,7 +40,9 @@
 //! with a version error instead of decoding to silently-wrong state; the
 //! committed golden fixture `tests/golden/snapshot_v2.bin` turns a
 //! forgotten bump into a test failure. Version 2 dropped the AHB's
-//! arbiter, per-master statistics and per-slave wait states.
+//! arbiter, per-master statistics and per-slave wait states, and encodes
+//! the session's whole-run latency histogram sparsely, like the per-class
+//! ones.
 //!
 //! # Determinism
 //!
@@ -228,7 +230,7 @@ pub struct StateInventoryEntry {
 pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     StateInventoryEntry {
         crate_name: "ssdx-sim",
-        carrier: Some("Resource / SimRng / LatencyHistogram"),
+        carrier: Some("Resource / SimRng"),
         notes: "busy windows, utilization ledgers, RNG streams",
     },
     StateInventoryEntry {
@@ -285,7 +287,7 @@ pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     },
     StateInventoryEntry {
         crate_name: "ssdx-core",
-        carrier: Some("Ssd / SimSession / PageAllocator / ClassHistograms"),
+        carrier: Some("Ssd / SimSession / PageAllocator / LatencyHistogram / ClassHistograms"),
         notes: "platform assembly, allocator cursors, in-flight session \
                 state; the fault schedule is config and its power-loss \
                 trigger keys on the encoded command cursor",

@@ -24,7 +24,7 @@
 
 use crate::config::{ConfigError, SsdConfig};
 use crate::layout::{PageAllocator, PageTarget};
-use crate::metrics::ClassHistograms;
+use crate::metrics::{ClassHistograms, LatencyHistogram};
 use crate::report::{PerfReport, UtilizationBreakdown};
 use crate::session::SimSession;
 use ssdx_channel::{ChannelConfig, ChannelController};
@@ -35,7 +35,6 @@ use ssdx_hostif::{CommandSource, HostInterface, HostOp, Workload};
 use ssdx_interconnect::{AhbBus, AhbConfig};
 use ssdx_nand::{NandOp, OnfiBus};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
-use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::{Resource, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -476,7 +475,7 @@ impl Ssd {
         total_bytes: u64,
         elapsed: SimTime,
         waf: f64,
-        latency: LatencyHistogram,
+        latency: Box<LatencyHistogram>,
         class_latency: ClassHistograms,
     ) -> PerfReport {
         let throughput_mbps = if elapsed.is_zero() {

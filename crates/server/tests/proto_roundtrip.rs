@@ -251,6 +251,95 @@ fn trailing_garbage_is_rejected() {
     }
 }
 
+/// Appends `v` as an LEB128 varint, the wire form of every integer.
+fn varint(out: &mut Vec<u8>, mut v: u128) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Appends a `str`: its byte length as a varint, then the UTF-8 bytes.
+fn string(out: &mut Vec<u8>, s: &str) {
+    varint(out, s.len() as u128);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Appends a `LatencyHistogram` holding 100 us and 300 us, in the sparse
+/// form docs/PROTOCOL.md specifies.
+fn two_sample_histogram(out: &mut Vec<u8>) {
+    varint(out, 2); // count
+    varint(out, 400_000); // sum_ns
+    varint(out, 100_000); // min_ns
+    varint(out, 300_000); // max_ns
+    varint(out, 2); // non-zero buckets
+                    // 100 000 ns: e = 16, index (16 - 4) * 32 + ((100 000 >> 11) & 31) = 400.
+    varint(out, 400);
+    varint(out, 1);
+    // 300 000 ns: e = 18, index (18 - 4) * 32 + ((300 000 >> 13) & 31) = 452.
+    varint(out, 452);
+    varint(out, 1);
+}
+
+/// Appends an empty `LatencyHistogram`.
+fn empty_histogram(out: &mut Vec<u8>) {
+    varint(out, 0); // count
+    varint(out, 0); // sum_ns
+    varint(out, u64::MAX.into()); // min_ns of an empty histogram
+    varint(out, 0); // max_ns
+    varint(out, 0); // non-zero buckets
+}
+
+/// Conformance with docs/PROTOCOL.md: a `Report` body built byte by byte
+/// from the specified field list decodes, and re-encodes to the same
+/// bytes. Every histogram, the whole-run one included, is sparse.
+#[test]
+fn a_report_built_from_the_spec_decodes_and_re_encodes_identically() {
+    let mut bytes = vec![0x48]; // Report
+    varint(&mut bytes, 3); // session
+    string(&mut bytes, "C1"); // config_name
+    string(&mut bytes, "1-DDR-buf;1-CHN;1-WAY;1-DIE"); // architecture
+    string(&mut bytes, "SW"); // workload
+    string(&mut bytes, "cache"); // policy
+    varint(&mut bytes, 2); // commands
+    varint(&mut bytes, 8192); // bytes
+    varint(&mut bytes, 400_000_000); // elapsed, picoseconds
+    for f in [20.48f64, 5000.0, 1.0] {
+        // throughput_mbps, iops, waf
+        bytes.extend_from_slice(&f.to_bits().to_le_bytes());
+    }
+    varint(&mut bytes, 4); // nand_page_programs
+    varint(&mut bytes, 0); // nand_page_reads
+    two_sample_histogram(&mut bytes); // latency
+    for f in [0.5f64, 0.1, 0.2, 0.05, 0.3, 0.6] {
+        // host_link, dram, cpu, ahb, channel_bus, die
+        bytes.extend_from_slice(&f.to_bits().to_le_bytes());
+    }
+    empty_histogram(&mut bytes); // read
+    two_sample_histogram(&mut bytes); // write
+    empty_histogram(&mut bytes); // trim
+
+    let response = Response::decode(&bytes).expect("a spec-built report decodes");
+    let Response::Report { session, report } = &response else {
+        panic!("decoded as {response:?}");
+    };
+    assert_eq!(*session, 3);
+    assert_eq!(report.commands, 2);
+    assert_eq!(report.latency.count(), 2);
+    assert_eq!(report.mean_latency(), SimTime::from_us(200));
+    assert_eq!(report.latency.min(), SimTime::from_us(100));
+    assert_eq!(report.p99_latency(), SimTime::from_us(300));
+    assert_eq!(report.utilization.die, 0.6);
+    assert_eq!(report.tail(ssdx_core::CommandClass::Write).count, 2);
+    assert_eq!(report.tail(ssdx_core::CommandClass::Read).count, 0);
+    assert_eq!(response.encode(), bytes);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

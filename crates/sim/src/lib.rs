@@ -4,10 +4,10 @@
 //! reproduction times every command instead by reserving service windows on
 //! component timelines, so this crate provides a simulated time base with
 //! picosecond resolution ([`SimTime`]), the resource reservation primitive
-//! used to model shared hardware blocks ([`Resource`]), collection of
-//! performance statistics ([`stats`]), a small deterministic random number
-//! generator ([`rng::SimRng`]) so that simulations are reproducible, and the
-//! snapshot [`codec`].
+//! used to model shared hardware blocks ([`Resource`]), utilization
+//! tracking ([`stats`]), a small deterministic random number generator
+//! ([`rng::SimRng`]) so that simulations are reproducible, and the snapshot
+//! [`codec`].
 //!
 //! Every primitive is thread-safe by construction — plain data with no
 //! interior mutability, no globals, no thread-locals — so a whole platform
@@ -60,7 +60,5 @@ mod thread_safety {
         assert_sync::<rng::SimRng>();
         assert_send::<Resource>();
         assert_sync::<Resource>();
-        assert_send::<stats::LatencyHistogram>();
-        assert_sync::<stats::LatencyHistogram>();
     }
 }

@@ -1,8 +1,7 @@
-//! Property-based tests of the simulation kernel: time arithmetic, resource
-//! bookkeeping and histogram ordering.
+//! Property-based tests of the simulation kernel: time arithmetic and
+//! resource bookkeeping.
 
 use proptest::prelude::*;
-use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::{Frequency, Resource, SimTime};
 
 proptest! {
@@ -51,20 +50,5 @@ proptest! {
         prop_assert_eq!(resource.busy_time(), expected);
         prop_assert_eq!(resource.free_at(), expected);
         prop_assert_eq!(resource.served(), durations.len() as u64);
-    }
-
-    #[test]
-    fn histogram_percentiles_are_ordered(samples in prop::collection::vec(1u64..10_000_000, 1..300)) {
-        let mut histogram = LatencyHistogram::new();
-        for s in &samples {
-            histogram.record(SimTime::from_ns(*s));
-        }
-        let p50 = histogram.percentile(50.0);
-        let p90 = histogram.percentile(90.0);
-        let p99 = histogram.percentile(99.0);
-        prop_assert!(p50 <= p90);
-        prop_assert!(p90 <= p99);
-        prop_assert!(histogram.min() <= histogram.mean());
-        prop_assert!(histogram.mean() <= histogram.max());
     }
 }
