@@ -15,6 +15,7 @@ use ssdx_dram::DdrTimings;
 use ssdx_ecc::EccScheme;
 use ssdx_ftl::WafModel;
 use ssdx_hostif::{HostInterface, NvmeInterface, PcieGen, SataInterface};
+use ssdx_interconnect::AhbConfig;
 use ssdx_nand::{MlcTimingProfile, NandConfig, NandGeometry, OnfiSpeed, WearModel};
 use std::fmt;
 
@@ -317,7 +318,8 @@ impl SsdConfig {
     ///
     /// Returns [`ConfigError::ZeroDimension`] naming the offending field
     /// (`dram_timings` for any timing set that
-    /// [`DdrTimings::validate`] rejects).
+    /// [`DdrTimings::validate`] rejects), and [`ConfigError::BadValue`] for
+    /// more `cpu_cores` than the AHB has master ports.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.channels == 0 {
             return Err(ConfigError::ZeroDimension("channels"));
@@ -336,6 +338,13 @@ impl SsdConfig {
         }
         if self.cpu_cores == 0 {
             return Err(ConfigError::ZeroDimension("cpu_cores"));
+        }
+        // Core `i` masters the AHB on port `i`.
+        if self.cpu_cores > AhbConfig::paper_default().masters {
+            return Err(ConfigError::BadValue {
+                key: "cpu_cores".to_string(),
+                value: self.cpu_cores.to_string(),
+            });
         }
         // A zero bank count, burst or row size would divide by zero on the
         // first buffer access.
@@ -761,7 +770,7 @@ impl SsdConfigBuilder {
     ///
     /// Returns [`ConfigError::ZeroDimension`] if a structural parameter is
     /// zero, and [`ConfigError::BadValue`] for `over_provisioning` unless it
-    /// lies in (0, 1].
+    /// lies in (0, 1] or for more `cpu_cores` than the AHB has masters.
     pub fn build(self) -> Result<SsdConfig, ConfigError> {
         // Beyond 1.0 the page-mapped FTL sizing overflows; NaN, infinities
         // and non-positive values would trip `WafModel::new`'s assertion.
@@ -940,6 +949,39 @@ mod tests {
                 Some(ConfigError::ZeroDimension("dram_timings"))
             );
         }
+    }
+
+    #[test]
+    fn more_cpu_cores_than_ahb_masters_are_rejected() {
+        // Core `i` masters AHB port `i`; a 17th core used to pass
+        // validation and panic on its first bus transfer.
+        let masters = AhbConfig::paper_default().masters;
+        let rejected = ConfigError::BadValue {
+            key: "cpu_cores".to_string(),
+            value: (masters + 1).to_string(),
+        };
+        let text = format!("cpu_cores = {}\n", masters + 1);
+        assert_eq!(SsdConfig::from_text(&text).unwrap_err(), rejected);
+        let builder = SsdConfig::builder("cores").cpu_cores(masters + 1);
+        assert_eq!(builder.build().unwrap_err(), rejected);
+        let config = SsdConfig {
+            cpu_cores: masters + 1,
+            ..SsdConfig::default()
+        };
+        assert_eq!(crate::Ssd::try_new(config).err(), Some(rejected));
+
+        // One core per master port still runs every core.
+        let config = SsdConfig::builder("cores")
+            .topology(2, 1, 1)
+            .cpu_cores(masters)
+            .build()
+            .unwrap();
+        let commands = 2 * u64::from(masters);
+        let workload = ssdx_hostif::Workload::builder(ssdx_hostif::AccessPattern::SequentialWrite)
+            .command_count(commands)
+            .build();
+        let report = crate::Ssd::try_new(config).unwrap().simulate(&workload);
+        assert_eq!(report.commands, commands);
     }
 
     #[test]

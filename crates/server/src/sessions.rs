@@ -472,6 +472,7 @@ mod tests {
             "over_provisioning = inf",
             "over_provisioning = 1e300",
             "ecc = fixed-bch:4294967295",
+            "cpu_cores = 17",
         ] {
             let text = format!("{}{line}\n", small_config_text());
             let err = host.create(&text, &small_spec()).unwrap_err();
