@@ -953,8 +953,7 @@ mod tests {
 
     #[test]
     fn more_cpu_cores_than_ahb_masters_are_rejected() {
-        // Core `i` masters AHB port `i`; a 17th core used to pass
-        // validation and panic on its first bus transfer.
+        // Core `i` masters AHB port `i`, so a 17th core has no port.
         let masters = AhbConfig::paper_default().masters;
         let rejected = ConfigError::BadValue {
             key: "cpu_cores".to_string(),

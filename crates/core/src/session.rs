@@ -1058,7 +1058,7 @@ mod tests {
         let mut session = ssd.session(&w);
         session.steady_state(SteadyStateCutoff::SimulatedTime(SimTime::from_us(200)));
         let trimmed = session.finish();
-        // Debug covers exactly the pre-metrics field set (the golden
+        // Debug covers every field but `class_latency` (the golden
         // format), so byte-equality here proves the cutoff is invisible to
         // every other field.
         assert_eq!(format!("{plain:?}"), format!("{trimmed:?}"));
