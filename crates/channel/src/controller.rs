@@ -41,6 +41,9 @@ pub struct ChannelOutcome {
     pub complete_at: SimTime,
     /// Expected raw bit errors for the page at its current wear (reads).
     pub expected_raw_errors: f64,
+    /// P/E cycles of the block as the array operation saw them, before it
+    /// ran (a read or program leaves them unchanged).
+    pub pe_cycles: u64,
 }
 
 /// Aggregate channel statistics.
@@ -279,6 +282,7 @@ impl ChannelController {
                     bus_done: bus.end,
                     complete_at: array.end,
                     expected_raw_errors: array.expected_raw_errors,
+                    pe_cycles: array.pe_cycles,
                 }
             }
             NandOp::Read => {
@@ -303,6 +307,7 @@ impl ChannelController {
                     bus_done: bus.end,
                     complete_at: dma.end,
                     expected_raw_errors: array.expected_raw_errors,
+                    pe_cycles: array.pe_cycles,
                 }
             }
             NandOp::Erase => {
@@ -322,6 +327,7 @@ impl ChannelController {
                     bus_done: cmd.end,
                     complete_at: array.end,
                     expected_raw_errors: 0.0,
+                    pe_cycles: array.pe_cycles,
                 }
             }
         };

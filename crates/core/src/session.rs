@@ -841,18 +841,11 @@ impl<'a> SimSession<'a> {
                         addr,
                         raw_page_bytes,
                     );
-                    let pe = self.ssd.channels[channel as usize]
-                        .die(way, die)
-                        // ssdx-lint::allow(no-panic-in-hot-path): the
-                        // allocator and the channels are built from the
-                        // same geometry, so every target it hands out is
-                        // in range; a miss means the config was mutated
-                        // mid-run.
-                        .expect("allocator targets are in range")
-                        .block_pe_cycles(addr);
-                    let dec_latency =
-                        self.ssd
-                            .ecc_decode_latency(page_bytes, pe, out.expected_raw_errors);
+                    let dec_latency = self.ssd.ecc_decode_latency(
+                        page_bytes,
+                        out.pe_cycles,
+                        out.expected_raw_errors,
+                    );
                     let dec = self.ssd.ecc_decoders[channel as usize]
                         .reserve(out.complete_at, dec_latency);
                     let decomp_done = match self.compressor {

@@ -600,11 +600,11 @@ impl Ssd {
                     die,
                     addr,
                 } = target;
-                let pe = self.channels[channel as usize]
-                    .die(way, die)
-                    .expect("allocator targets are in range")
-                    .block_pe_cycles(addr);
                 if is_write {
+                    let pe = self.channels[channel as usize]
+                        .die(way, die)
+                        .expect("allocator targets are in range")
+                        .block_pe_cycles(addr);
                     let enc_latency = self.ecc_encode_latency(page_bytes, pe);
                     let enc =
                         self.ecc_encoders[channel as usize].reserve(SimTime::ZERO, enc_latency);
@@ -630,7 +630,7 @@ impl Ssd {
                         raw_page_bytes,
                     );
                     let dec_latency =
-                        self.ecc_decode_latency(page_bytes, pe, out.expected_raw_errors);
+                        self.ecc_decode_latency(page_bytes, out.pe_cycles, out.expected_raw_errors);
                     let dec =
                         self.ecc_decoders[channel as usize].reserve(out.complete_at, dec_latency);
                     let dram_done = self.dram[buf]

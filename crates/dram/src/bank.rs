@@ -87,39 +87,44 @@ impl Bank {
         precharge: SimTime,
     ) -> (SimTime, RowOutcome) {
         let start = at.max(self.ready_at);
-        let (ready, outcome) = match self.state {
-            BankState::ActiveRow(open) if open == row => {
-                self.hits += 1;
-                (start, RowOutcome::Hit)
-            }
-            BankState::Idle => {
-                self.misses += 1;
-                (start + activate, RowOutcome::Miss)
-            }
-            BankState::ActiveRow(_) => {
-                self.conflicts += 1;
-                (start + precharge + activate, RowOutcome::Conflict)
-            }
+        let outcome = self.outcome(row);
+        self.book(outcome, 1);
+        let ready = match outcome {
+            RowOutcome::Hit => start,
+            RowOutcome::Miss => start + activate,
+            RowOutcome::Conflict => start + precharge + activate,
         };
         self.state = BankState::ActiveRow(row);
         self.ready_at = ready;
         (ready, outcome)
     }
 
-    /// Books a run of bursts the buffer timed in closed form: `hits` row
-    /// hits and `conflicts` conflicts, leaving `row` open. The ready instant
-    /// is left alone; the buffer walks the bank again before the access ends.
-    pub(crate) fn book_train(&mut self, hits: u64, conflicts: u64, row: u64) {
-        self.hits += hits;
-        self.conflicts += conflicts;
-        self.state = BankState::ActiveRow(row);
+    /// The outcome a burst to `row` meets in the current row-buffer state.
+    #[inline]
+    pub(crate) fn outcome(&self, row: u64) -> RowOutcome {
+        match self.state {
+            BankState::ActiveRow(open) if open == row => RowOutcome::Hit,
+            BankState::Idle => RowOutcome::Miss,
+            BankState::ActiveRow(_) => RowOutcome::Conflict,
+        }
     }
 
-    /// Re-books one hit booked by [`book_train`](Self::book_train) as a
-    /// conflict.
-    pub(crate) fn rebook_hit_as_conflict(&mut self) {
-        self.hits -= 1;
-        self.conflicts += 1;
+    /// Counts `bursts` bursts that met `outcome`.
+    #[inline]
+    pub(crate) fn book(&mut self, outcome: RowOutcome, bursts: u64) {
+        match outcome {
+            RowOutcome::Hit => self.hits += bursts,
+            RowOutcome::Miss => self.misses += bursts,
+            RowOutcome::Conflict => self.conflicts += bursts,
+        }
+    }
+
+    /// Leaves `row` open and the bank ready at `ready_at`: the state the
+    /// last of the bursts the buffer timed in closed form leaves behind.
+    #[inline]
+    pub(crate) fn leave(&mut self, row: u64, ready_at: SimTime) {
+        self.state = BankState::ActiveRow(row);
+        self.ready_at = ready_at;
     }
 
     /// Encodes the bank's mutable state, in stable field order: row-buffer
@@ -167,9 +172,18 @@ impl Bank {
 
     /// Forces a precharge (used by refresh).
     pub fn precharge(&mut self, at: SimTime, timings: &DdrTimings) {
+        self.precharge_with(at, timings.precharge_time());
+    }
+
+    /// [`precharge`](Self::precharge) with the precharge latency supplied
+    /// by the caller, as [`open_row_with`](Self::open_row_with) takes its
+    /// latencies, so refresh uses the latency cached once at controller
+    /// construction.
+    #[inline]
+    pub fn precharge_with(&mut self, at: SimTime, precharge: SimTime) {
         let start = at.max(self.ready_at);
         self.state = BankState::Idle;
-        self.ready_at = start + timings.precharge_time();
+        self.ready_at = start + precharge;
     }
 }
 

@@ -1,6 +1,6 @@
 //! The DRAM buffer front end used by the SSD data path.
 
-use crate::bank::{Bank, RowOutcome};
+use crate::bank::{Bank, BankState, RowOutcome};
 use crate::timing::DdrTimings;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::SimTime;
@@ -58,6 +58,10 @@ pub struct DramBuffer {
     timings: DdrTimings,
     banks: Vec<Bank>,
     data_bus_free: SimTime,
+    /// The latest `ready_at` among the banks (derived from them, so not
+    /// snapshot state): the device is quiescent from this instant and
+    /// `data_bus_free` on.
+    banks_ready: SimTime,
     next_refresh: SimTime,
     stats: DramStats,
     // Cached derived timings (pure functions of `timings`, which is only
@@ -68,6 +72,44 @@ pub struct DramBuffer {
     burst: SimTime,
     refresh_window: SimTime,
     refresh_interval: SimTime,
+    layout: Layout,
+}
+
+/// A construction-fixed divisor of the address map. When it is a power of
+/// two, as the bank count, burst size and row size of every shipped timing
+/// set are, quotient and remainder are a shift and a mask instead of a
+/// 64-bit division (tens of cycles; an access needs several).
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    value: u64,
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(value: u64) -> Self {
+        Divisor {
+            value,
+            shift: value.is_power_of_two().then(|| value.trailing_zeros()),
+        }
+    }
+
+    #[inline]
+    fn div_rem(self, x: u64) -> (u64, u64) {
+        match self.shift {
+            Some(shift) => (x >> shift, x & (self.value - 1)),
+            None => (x / self.value, x % self.value),
+        }
+    }
+}
+
+/// How buffer addresses map onto the banks: consecutive bursts rotate
+/// across the banks one step at a time (interleaved mapping), and rows
+/// advance every `row_bytes`.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    banks: Divisor,
+    burst_bytes: Divisor,
+    row_bytes: Divisor,
 }
 
 /// Where a burst train of one access stands: the bank, row and in-row byte
@@ -82,19 +124,46 @@ struct Train {
     row_hits: u32,
 }
 
-impl Train {
-    /// Moves on to the next burst: the next bank in rotation, and the next
-    /// row whenever the running address crosses a row boundary.
+impl Layout {
+    /// The train of an access to `addr` starting at `at`.
     #[inline]
-    fn advance(&mut self, banks: usize, burst_bytes: u64, row_bytes: u64) {
-        self.bank += 1;
-        if self.bank == banks {
-            self.bank = 0;
+    fn train(&self, at: SimTime, addr: u64) -> Train {
+        let (row, row_offset) = self.row_bytes.div_rem(addr);
+        Train {
+            bank: self.banks.div_rem(self.burst_bytes.div_rem(addr).0).1 as usize,
+            row,
+            row_offset,
+            cursor: at,
+            row_hits: 0,
         }
-        self.row_offset += burst_bytes;
-        while self.row_offset >= row_bytes {
-            self.row_offset -= row_bytes;
-            self.row += 1;
+    }
+
+    /// `train` moved `bursts` bursts further on (cursor and hits unchanged).
+    #[inline]
+    fn skip(&self, train: &Train, bursts: u64) -> Train {
+        let (rows, row_offset) = self
+            .row_bytes
+            .div_rem(train.row_offset + bursts * self.burst_bytes.value);
+        Train {
+            bank: self.banks.div_rem(train.bank as u64 + bursts).1 as usize,
+            row: train.row + rows,
+            row_offset,
+            ..*train
+        }
+    }
+
+    /// Moves `train` on to its next burst: the next bank in rotation, and
+    /// the next row whenever the running address crosses a row boundary.
+    #[inline]
+    fn advance(&self, train: &mut Train) {
+        train.bank += 1;
+        if train.bank as u64 == self.banks.value {
+            train.bank = 0;
+        }
+        train.row_offset += self.burst_bytes.value;
+        while train.row_offset >= self.row_bytes.value {
+            train.row_offset -= self.row_bytes.value;
+            train.row += 1;
         }
     }
 }
@@ -107,6 +176,7 @@ impl DramBuffer {
             id,
             banks,
             data_bus_free: SimTime::ZERO,
+            banks_ready: SimTime::ZERO,
             next_refresh: timings.refresh_interval(),
             stats: DramStats::default(),
             cas: timings.cas_time(),
@@ -115,6 +185,11 @@ impl DramBuffer {
             burst: timings.burst_time(),
             refresh_window: timings.refresh_time(),
             refresh_interval: timings.refresh_interval(),
+            layout: Layout {
+                banks: Divisor::new(timings.banks as u64),
+                burst_bytes: Divisor::new(timings.burst_bytes() as u64),
+                row_bytes: Divisor::new(timings.row_bytes as u64),
+            },
             timings,
         }
     }
@@ -151,13 +226,17 @@ impl DramBuffer {
             // 7.8 µs interval at a time across what can be seconds of
             // simulated idle time (the former dominant cost of long runs).
             let windows_fit = self.refresh_window.max(self.precharge) <= self.refresh_interval;
-            if windows_fit && self.banks.iter().all(|b| b.ready_at() <= at) {
-                let skipped = (now - at).as_ps() / self.refresh_interval.as_ps();
+            if windows_fit && self.banks_ready <= at {
+                let skipped = match now - at {
+                    gap if gap < self.refresh_interval => 0,
+                    gap => gap.as_ps() / self.refresh_interval.as_ps(),
+                };
                 let last_at = at + self.refresh_interval * skipped;
                 for bank in &mut self.banks {
-                    bank.precharge(last_at, &self.timings);
+                    bank.precharge_with(last_at, self.precharge);
                     bank.occupy_until(last_at + self.refresh_window);
                 }
+                self.banks_ready = last_at + self.refresh_window.max(self.precharge);
                 self.data_bus_free = self.data_bus_free.max(last_at + self.refresh_window);
                 self.next_refresh = last_at + self.refresh_interval;
                 self.stats.refreshes += skipped + 1;
@@ -167,9 +246,11 @@ impl DramBuffer {
             // is degenerate), so refreshes interact and must be replayed one
             // by one until the device drains.
             for bank in &mut self.banks {
-                bank.precharge(at, &self.timings);
+                bank.precharge_with(at, self.precharge);
                 bank.occupy_until(at + self.refresh_window);
             }
+            self.banks_ready =
+                (self.banks_ready.max(at) + self.precharge).max(at + self.refresh_window);
             self.data_bus_free = self.data_bus_free.max(at + self.refresh_window);
             self.next_refresh += self.refresh_interval;
             self.stats.refreshes += 1;
@@ -185,13 +266,14 @@ impl DramBuffer {
     /// the whole device. Consecutive bursts rotate across the banks one step
     /// at a time (interleaved mapping); rows advance every `row_bytes`.
     ///
-    /// Only the first and the last bank rotation are walked burst by burst.
-    /// A burst in between meets the bank that served the burst one rotation
-    /// earlier, so that bank is ready by the time the previous burst ends
-    /// and has a row open: the burst ends exactly CAS + burst time after its
-    /// predecessor, plus tRP + tRCD when its row differs from the open one —
-    /// always a conflict, never a miss. Those middle bursts are timed and
-    /// counted in closed form; a per-burst reference in the tests pins the
+    /// The device is *quiescent* at an instant when the data bus is free and
+    /// every bank is ready by then. A burst that starts quiescent starts
+    /// when its predecessor ends, waits only for its own row, and leaves the
+    /// device quiescent at its end, so from the first quiescent burst on the
+    /// train is timed in closed form. An access that starts quiescent walks
+    /// no burst through the row state machines; a contended one walks its
+    /// first bank rotation, which leaves every bank ready by the end of the
+    /// rotation's last burst. A per-burst reference in the tests pins the
     /// result, counters and state bytes.
     pub fn access(
         &mut self,
@@ -201,34 +283,35 @@ impl DramBuffer {
         _kind: AccessKind,
     ) -> AccessOutcome {
         self.refresh_if_due(at);
-        let burst_bytes = self.timings.burst_bytes() as u64;
-        let row_bytes = self.timings.row_bytes as u64;
-        let banks = self.banks.len() as u64;
-        let bursts = bytes.div_ceil(burst_bytes as u32).max(1);
-        let origin = Train {
-            bank: ((addr / burst_bytes) % banks) as usize,
-            row: addr / row_bytes,
-            row_offset: addr % row_bytes,
-            cursor: at,
-            row_hits: 0,
-        };
+        let burst_bytes = self.layout.burst_bytes.value;
+        let bursts = self
+            .layout
+            .burst_bytes
+            .div_rem(bytes as u64 + burst_bytes - 1)
+            .0
+            .max(1);
+        let origin = self.layout.train(at, addr);
         let mut train = origin;
-        let start = match (bursts as u64).checked_sub(2 * banks) {
-            Some(middle) if middle > 0 => {
-                let start = self.walk(&mut train, banks);
-                self.skip_middle(&mut train, &origin, middle);
-                self.walk(&mut train, banks);
-                start
-            }
-            _ => self.walk(&mut train, bursts as u64),
+        let first_visits = bursts.min(self.layout.banks.value);
+        debug_assert_eq!(
+            Some(self.banks_ready),
+            self.banks.iter().map(Bank::ready_at).max()
+        );
+        let start = if self.data_bus_free.max(self.banks_ready) <= at {
+            self.time_first_visits(&mut train, first_visits)
+        } else {
+            self.walk(&mut train, first_visits)
         };
-        self.stats.bus_busy += self.burst * bursts as u64;
+        if bursts > first_visits {
+            self.time_later_visits(&origin, &mut train, bursts);
+        }
+        self.stats.bus_busy += self.burst * bursts;
         self.stats.accesses += 1;
         self.stats.bytes += bytes as u64;
         AccessOutcome {
             start,
             end: train.cursor,
-            bursts,
+            bursts: bursts as u32,
             row_hits: train.row_hits,
         }
     }
@@ -237,95 +320,137 @@ impl DramBuffer {
     /// banks' row state machines and returns when the first of them started
     /// on the data bus.
     fn walk(&mut self, train: &mut Train, count: u64) -> SimTime {
-        let burst_bytes = self.timings.burst_bytes() as u64;
-        let row_bytes = self.timings.row_bytes as u64;
+        let mut t = *train;
         let mut first_start = None;
         for _ in 0..count {
-            let bank = &mut self.banks[train.bank];
+            let bank = &mut self.banks[t.bank];
             let (cas_ready, outcome) =
-                bank.open_row_with(train.cursor, train.row, self.activate, self.precharge);
+                bank.open_row_with(t.cursor, t.row, self.activate, self.precharge);
             if outcome == RowOutcome::Hit {
-                train.row_hits += 1;
+                t.row_hits += 1;
             }
             let data_start = (cas_ready + self.cas).max(self.data_bus_free);
             let data_end = data_start + self.burst;
             bank.occupy_until(data_end);
+            self.banks_ready = self.banks_ready.max(data_end);
             self.data_bus_free = data_end;
             first_start.get_or_insert(data_start);
-            train.cursor = data_end;
-            train.advance(self.banks.len(), burst_bytes, row_bytes);
+            t.cursor = data_end;
+            self.layout.advance(&mut t);
         }
-        first_start.unwrap_or(train.cursor)
+        *train = t;
+        first_start.unwrap_or(t.cursor)
     }
 
-    /// Times and books the `middle` bursts between the first and the last
-    /// bank rotation in closed form (see [`access`](Self::access)), moving
-    /// `train` on to the first burst of the last rotation. `origin` is the
-    /// train at its first burst.
+    /// Times and books the first visits of a train that starts with the
+    /// device quiescent: the next `count` bursts, at most one per bank.
+    /// Returns when the first of them started on the data bus.
     ///
-    /// The bank state the last rotation reads is exact: each bank is left
-    /// with the row of its last middle burst. Ready instants are left as the
-    /// first rotation set them (no later than the train's cursor, which is
-    /// all the last rotation reads of them) and are overwritten by it.
-    fn skip_middle(&mut self, train: &mut Train, origin: &Train, middle: u64) {
-        let banks = self.banks.len() as u64;
-        let burst_bytes = self.timings.burst_bytes() as u64;
-        let row_bytes = self.timings.row_bytes as u64;
-        // A middle burst conflicts iff its row differs from the one its bank
-        // opened a rotation earlier; when a rotation spans a whole row, every
-        // middle burst does.
-        let every_burst_conflicts = banks * burst_bytes >= row_bytes;
-        // Bursts `middle..middle + banks`, the ones just before the last
-        // rotation, meet every bank once, each as its bank's last middle
-        // burst (or, if `middle < banks`, its first-rotation burst). Burst
-        // `b` of them has had `b / banks` middle visits on its bank.
-        let (per_bank, extra) = (middle / banks, middle % banks);
-        let offset = origin.row_offset + middle * burst_bytes;
-        train.bank = origin.bank + extra as usize;
-        if train.bank >= self.banks.len() {
-            train.bank -= self.banks.len();
-        }
-        (train.row, train.row_offset) = if offset < row_bytes {
-            (origin.row, offset)
-        } else {
-            (origin.row + offset / row_bytes, offset % row_bytes)
-        };
-        for i in 0..banks {
-            let visits = per_bank + u64::from(i + extra >= banks);
-            let (hits, conflicts) = if every_burst_conflicts {
-                (0, visits)
-            } else {
-                (visits, 0)
-            };
-            self.banks[train.bank].book_train(hits, conflicts, train.row);
-            train.advance(self.banks.len(), burst_bytes, row_bytes);
-        }
-        let mut conflicts = if every_burst_conflicts { middle } else { 0 };
-        if !every_burst_conflicts {
-            // Rows outlast a rotation, so the conflicts are the (up to
-            // `banks`) bursts starting at each row boundary, and these runs
-            // never overlap. Walk the boundaries the middle reaches.
-            let (first, end) = (banks, banks + middle);
-            let mut boundary = row_bytes - origin.row_offset;
-            while boundary <= (end - 1) * burst_bytes {
-                let opener = boundary.div_ceil(burst_bytes);
-                let (lo, hi) = (opener.max(first), (opener + banks).min(end));
-                let mut bank = ((origin.bank as u64 + lo) % banks) as usize;
-                for _ in lo..hi {
-                    self.banks[bank].rebook_hit_as_conflict();
-                    bank += 1;
-                    if bank == self.banks.len() {
-                        bank = 0;
-                    }
+    /// Each burst starts when its predecessor ends and meets the row its
+    /// bank has stored, so it ends exactly `X + CAS + burst` after its
+    /// predecessor, where `X` is 0 for a row hit, tRCD for a miss and
+    /// tRP + tRCD for a conflict. It leaves its bank ready and the bus free
+    /// at its end: the device stays quiescent.
+    fn time_first_visits(&mut self, train: &mut Train, count: u64) -> SimTime {
+        let step = self.cas + self.burst;
+        let mut t = *train;
+        let mut start = t.cursor;
+        for k in 0..count {
+            let bank = &mut self.banks[t.bank];
+            let outcome = bank.outcome(t.row);
+            bank.book(outcome, 1);
+            let delay = match outcome {
+                RowOutcome::Hit => {
+                    t.row_hits += 1;
+                    SimTime::ZERO
                 }
-                conflicts += hi - lo;
+                RowOutcome::Miss => self.activate,
+                RowOutcome::Conflict => self.precharge + self.activate,
+            };
+            t.cursor += delay + step;
+            if k == 0 {
+                start = t.cursor - self.burst;
+            }
+            bank.leave(t.row, t.cursor);
+            self.layout.advance(&mut t);
+        }
+        *train = t;
+        self.data_bus_free = t.cursor;
+        self.banks_ready = t.cursor;
+        start
+    }
+
+    /// Times and books bursts `banks..count` of the train that started at
+    /// `origin`, whose first rotation has been timed and left `train`, at
+    /// its end, with the device quiescent and each bank holding the row of
+    /// its first visit.
+    ///
+    /// Each of these bursts meets the bank that served the burst one
+    /// rotation earlier: ready by the time the previous burst ends, with
+    /// that burst's row open. So it ends exactly CAS + burst after the
+    /// previous burst, plus tRP + tRCD when a row boundary lies between the
+    /// two. That happens iff it starts less than one rotation's bytes into
+    /// its row, always when one rotation spans a whole row; it is never a
+    /// miss. The conflicts thus come in runs of up to `banks` bursts from
+    /// each row boundary, and a bank's later visits conflict once per row
+    /// they cross. Only the last rotation is visited: one pass books each
+    /// bank's later visits and leaves it as its last burst does, after a
+    /// walk over the row boundaries before it.
+    fn time_later_visits(&mut self, origin: &Train, train: &mut Train, count: u64) {
+        let layout = self.layout;
+        let banks = layout.banks.value;
+        let burst_bytes = layout.burst_bytes.value;
+        let row_bytes = layout.row_bytes.value;
+        let step = self.cas + self.burst;
+        let conflict = self.precharge + self.activate;
+        let rotation_bytes = banks * burst_bytes;
+        let every_later_visit_conflicts = rotation_bytes >= row_bytes;
+        // From burst `last` on, each burst is its bank's last visit.
+        let last = (count - banks).max(banks);
+        let mut conflicts = if every_later_visit_conflicts {
+            last - banks
+        } else {
+            let mut before_last = 0;
+            let mut boundary = row_bytes - origin.row_offset;
+            while boundary <= (last - 1) * burst_bytes {
+                let opener = layout.burst_bytes.div_rem(boundary + burst_bytes - 1).0;
+                before_last += (opener + banks).min(last) - opener.max(banks);
                 boundary += row_bytes;
             }
+            before_last
+        };
+        let mut cursor = train.cursor + step * (last - banks) + conflict * conflicts;
+        let mut tail = layout.skip(origin, last);
+        // The burst at `lap` of rotation `visited` follows `visited` earlier
+        // visits to its bank.
+        let (mut visited, mut lap) = layout.banks.div_rem(last);
+        for _ in last..count {
+            cursor += step;
+            if tail.row_offset < rotation_bytes {
+                cursor += conflict;
+                conflicts += 1;
+            }
+            let bank = &mut self.banks[tail.bank];
+            let crossed = match bank.state() {
+                BankState::ActiveRow(first_row) if !every_later_visit_conflicts => {
+                    tail.row - first_row
+                }
+                _ => visited,
+            };
+            bank.book(RowOutcome::Hit, visited - crossed);
+            bank.book(RowOutcome::Conflict, crossed);
+            bank.leave(tail.row, cursor);
+            layout.advance(&mut tail);
+            lap += 1;
+            if lap == banks {
+                lap = 0;
+                visited += 1;
+            }
         }
-        train.cursor +=
-            (self.cas + self.burst) * middle + (self.precharge + self.activate) * conflicts;
-        train.row_hits += (middle - conflicts) as u32;
-        self.data_bus_free = train.cursor;
+        train.row_hits += (count - banks - conflicts) as u32;
+        train.cursor = cursor;
+        self.data_bus_free = cursor;
+        self.banks_ready = cursor;
     }
 
     /// The per-burst definition of [`access`](Self::access): every burst is
@@ -350,6 +475,7 @@ impl DramBuffer {
             let data_start = (cas_ready + self.cas).max(self.data_bus_free);
             let data_end = data_start + self.burst;
             self.banks[bank].occupy_until(data_end);
+            self.banks_ready = self.banks_ready.max(data_end);
             self.data_bus_free = data_end;
             first_start.get_or_insert(data_start);
             cursor = data_end;
@@ -401,6 +527,12 @@ impl DramBuffer {
         for bank in &mut self.banks {
             bank.decode_state(dec)?;
         }
+        self.banks_ready = self
+            .banks
+            .iter()
+            .map(Bank::ready_at)
+            .max()
+            .unwrap_or_default();
         self.data_bus_free = dec.get_time()?;
         self.next_refresh = dec.get_time()?;
         self.stats.accesses = dec.get_u64()?;
@@ -416,6 +548,7 @@ impl DramBuffer {
             *b = Bank::new();
         }
         self.data_bus_free = SimTime::ZERO;
+        self.banks_ready = SimTime::ZERO;
         self.next_refresh = self.timings.refresh_interval();
         self.stats = DramStats::default();
     }
@@ -507,6 +640,40 @@ mod tests {
                 prop_assert_eq!(state_bytes(&fast), state_bytes(&reference));
             }
         }
+
+        /// Each access of a back-to-back run starts at or after the previous
+        /// one's end, so it finds the bus free and, unless a refresh is
+        /// still in flight, every bank ready: the closed form runs from the
+        /// first burst on. Some gaps cross one or two refresh deadlines, and
+        /// sizes span one burst to many rows. Outcome and state bytes match
+        /// the per-burst reference. Refresh runs at the DDR2 interval: a
+        /// window that outlasts its interval makes every refresh push the
+        /// device further behind, so an access that waits for the previous
+        /// one's end would wait geometrically longer each time.
+        #[test]
+        fn back_to_back_trains_match_the_per_burst_reference(
+            timings in timings().prop_map(|t| DdrTimings { t_refi_ns: 7_800, ..t }),
+            accesses in prop::collection::vec(
+                (
+                    prop_oneof![Just(0u64), 0u64..100, 5_000u64..20_000],
+                    0u64..(1 << 34),
+                    prop_oneof![1u32..=4096, 4096u32..=(64 << 10)],
+                ),
+                1..=40,
+            ),
+        ) {
+            let mut fast = DramBuffer::new(0, timings);
+            let mut reference = fast.clone();
+            let mut at = SimTime::ZERO;
+            for (gap_ns, addr, bytes) in accesses {
+                at += SimTime::from_ns(gap_ns);
+                let got = fast.access(at, addr, bytes, AccessKind::Write);
+                let want = reference.access_reference(at, addr, bytes);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(state_bytes(&fast), state_bytes(&reference));
+                at = got.end;
+            }
+        }
     }
 
     #[test]
@@ -594,6 +761,31 @@ mod tests {
         let mut expected = vec![(247, 1, 16); 5];
         expected.extend([(248, 1, 15); 3]);
         assert_eq!(counts, expected);
+    }
+
+    #[test]
+    fn post_refresh_page_access_is_pinned() {
+        // At 10 µs the refresh due at 7.8 µs has closed every row and ended
+        // (tRFC = 127.5 ns), so a 4 KB access finds the device quiescent:
+        // 8 misses (tRCD = 12.5 ns each), then 56 hits, each burst CAS +
+        // burst = 22.5 ns after its predecessor.
+        let mut b = buf();
+        let o = b.access(SimTime::from_us(10), 0, 4096, AccessKind::Write);
+        assert_eq!(b.stats().refreshes, 1);
+        assert_eq!(o.start, SimTime::from_ps(10_025_000));
+        assert_eq!(o.end, SimTime::from_ps(11_540_000));
+        assert_eq!((o.bursts, o.row_hits), (64, 56));
+        assert_eq!(b.bus_free_at(), o.end);
+        let counts: Vec<_> = b.banks.iter().map(Bank::outcome_counts).collect();
+        assert_eq!(counts, vec![(7, 1, 0); 8]);
+        let ready: Vec<_> = b.banks.iter().map(|bank| bank.ready_at().as_ps()).collect();
+        assert_eq!(
+            ready,
+            [
+                11_382_500, 11_405_000, 11_427_500, 11_450_000, 11_472_500, 11_495_000, 11_517_500,
+                11_540_000
+            ]
+        );
     }
 
     #[test]

@@ -440,14 +440,13 @@ impl PageMappedFtl {
         Ok(())
     }
 
-    /// Reclaims the single best victim block (greedy policy: the full block
-    /// with the most invalid pages). Returns `Ok(false)` when no block is
-    /// worth collecting (no full block carries an invalid page).
-    fn collect_one_victim(&mut self) -> Result<bool, FtlError> {
+    /// The greedy victim and its invalid-page count: the full block, other
+    /// than the two open blocks, with the most invalid pages. Ties resolve
+    /// to the last maximum in block order. `None` when there is no such
+    /// block.
+    fn greedy_victim(&self) -> Option<(u32, u32)> {
         // Blocks in the free pool are never full, so the bitset skip mirrors
         // the fullness filter; the two open blocks are excluded explicitly.
-        // Last maximum in block order (ties resolve to the highest index, as
-        // `max_by_key` over the block iterator did).
         let mut victim: Option<(u32, u32)> = None;
         for blk in 0..self.blocks {
             if blk == self.open_block
@@ -463,7 +462,14 @@ impl PageMappedFtl {
                 _ => victim = Some((blk, inv)),
             }
         }
-        let Some((victim, invalid)) = victim else {
+        victim
+    }
+
+    /// Reclaims the single best victim block (greedy policy: the full block
+    /// with the most invalid pages). Returns `Ok(false)` when no block is
+    /// worth collecting (no full block carries an invalid page).
+    fn collect_one_victim(&mut self) -> Result<bool, FtlError> {
+        let Some((victim, invalid)) = self.greedy_victim() else {
             return Ok(false);
         };
         if invalid == 0 {
@@ -533,24 +539,7 @@ impl PageMappedFtl {
     /// victim. Returns the number of pages relocated (0 when no block is
     /// worth collecting or the pool cannot supply a GC block).
     pub fn interrupt_reclaim(&mut self, limit_pages: u32) -> u64 {
-        // Victim selection mirrors collect_one_victim (last maximum of the
-        // invalid count over full, non-open, non-free blocks).
-        let mut victim: Option<(u32, u32)> = None;
-        for blk in 0..self.blocks {
-            if blk == self.open_block
-                || blk == self.gc_open_block
-                || self.free_mask.contains(blk)
-                || !self.is_full(blk)
-            {
-                continue;
-            }
-            let inv = self.invalid_count(blk);
-            match victim {
-                Some((_, best)) if inv < best => {}
-                _ => victim = Some((blk, inv)),
-            }
-        }
-        let Some((victim, _)) = victim else {
+        let Some((victim, _)) = self.greedy_victim() else {
             return 0;
         };
         let base = self.pack(victim, 0) as usize;

@@ -21,6 +21,9 @@ pub struct OpOutcome {
     /// Expected raw bit errors in the page at its current wear level
     /// (meaningful for reads; zero for erase).
     pub expected_raw_errors: f64,
+    /// P/E cycles of the block as the operation saw them, before it ran
+    /// (a read or program leaves them unchanged).
+    pub pe_cycles: u64,
 }
 
 /// Statistics accumulated by one die.
@@ -292,6 +295,7 @@ impl NandDie {
             end: grant.end,
             busy_time: busy,
             expected_raw_errors,
+            pe_cycles: pe,
         })
     }
 
@@ -431,6 +435,20 @@ mod tests {
         assert_eq!(d.block_pe_cycles(a), 3_000);
         let worn = d.execute(d.ready_at(), NandOp::Erase, a);
         assert!(worn.busy_time > fresh.busy_time * 2);
+    }
+
+    #[test]
+    fn outcomes_report_the_pe_cycles_each_operation_saw() {
+        let mut d = die();
+        d.age_all_blocks(700);
+        let a = addr(9, 0);
+        let read = d.execute(SimTime::ZERO, NandOp::Read, a);
+        assert_eq!(read.pe_cycles, 700);
+        let erase = d.execute(d.ready_at(), NandOp::Erase, a);
+        assert_eq!(erase.pe_cycles, 700);
+        let program = d.execute(d.ready_at(), NandOp::Program, a);
+        assert_eq!(program.pe_cycles, 701);
+        assert_eq!(d.block_pe_cycles(a), 701);
     }
 
     #[test]
