@@ -347,7 +347,8 @@ impl SsdConfig {
             });
         }
         // A zero bank count, burst or row size would divide by zero on the
-        // first buffer access.
+        // first buffer access, and a zero refresh interval would never let
+        // the buffer's refresh catch-up finish.
         if self.dram_timings.validate().is_err() {
             return Err(ConfigError::ZeroDimension("dram_timings"));
         }
@@ -932,7 +933,11 @@ mod tests {
             row_bytes: 0,
             ..DdrTimings::ddr2_800()
         };
-        for timings in [zero_banks, zero_rows] {
+        let zero_refresh_interval = DdrTimings {
+            t_refi_ns: 0,
+            ..DdrTimings::ddr2_800()
+        };
+        for timings in [zero_banks, zero_rows, zero_refresh_interval] {
             assert_eq!(
                 SsdConfig::builder("bad")
                     .dram_timings(timings)

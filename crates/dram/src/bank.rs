@@ -87,42 +87,31 @@ impl Bank {
         precharge: SimTime,
     ) -> (SimTime, RowOutcome) {
         let start = at.max(self.ready_at);
-        let outcome = self.outcome(row);
-        self.book(outcome, 1);
-        let ready = match outcome {
-            RowOutcome::Hit => start,
-            RowOutcome::Miss => start + activate,
-            RowOutcome::Conflict => start + precharge + activate,
+        let (ready, outcome) = match self.state {
+            BankState::ActiveRow(open) if open == row => {
+                self.hits += 1;
+                (start, RowOutcome::Hit)
+            }
+            BankState::Idle => {
+                self.misses += 1;
+                (start + activate, RowOutcome::Miss)
+            }
+            BankState::ActiveRow(_) => {
+                self.conflicts += 1;
+                (start + precharge + activate, RowOutcome::Conflict)
+            }
         };
         self.state = BankState::ActiveRow(row);
         self.ready_at = ready;
         (ready, outcome)
     }
 
-    /// The outcome a burst to `row` meets in the current row-buffer state.
-    #[inline]
-    pub(crate) fn outcome(&self, row: u64) -> RowOutcome {
-        match self.state {
-            BankState::ActiveRow(open) if open == row => RowOutcome::Hit,
-            BankState::Idle => RowOutcome::Miss,
-            BankState::ActiveRow(_) => RowOutcome::Conflict,
-        }
-    }
-
-    /// Counts `bursts` bursts that met `outcome`.
-    #[inline]
-    pub(crate) fn book(&mut self, outcome: RowOutcome, bursts: u64) {
-        match outcome {
-            RowOutcome::Hit => self.hits += bursts,
-            RowOutcome::Miss => self.misses += bursts,
-            RowOutcome::Conflict => self.conflicts += bursts,
-        }
-    }
-
-    /// Leaves `row` open and the bank ready at `ready_at`: the state the
-    /// last of the bursts the buffer timed in closed form leaves behind.
-    #[inline]
-    pub(crate) fn leave(&mut self, row: u64, ready_at: SimTime) {
+    /// Books a run of bursts the buffer timed in closed form: `hits` row
+    /// hits and `conflicts` conflicts, the last of which leaves `row` open
+    /// and the bank ready at `ready_at`.
+    pub(crate) fn book_train(&mut self, hits: u64, conflicts: u64, row: u64, ready_at: SimTime) {
+        self.hits += hits;
+        self.conflicts += conflicts;
         self.state = BankState::ActiveRow(row);
         self.ready_at = ready_at;
     }
@@ -180,7 +169,7 @@ impl Bank {
     /// latencies, so refresh uses the latency cached once at controller
     /// construction.
     #[inline]
-    pub fn precharge_with(&mut self, at: SimTime, precharge: SimTime) {
+    pub(crate) fn precharge_with(&mut self, at: SimTime, precharge: SimTime) {
         let start = at.max(self.ready_at);
         self.state = BankState::Idle;
         self.ready_at = start + precharge;

@@ -58,10 +58,6 @@ pub struct DramBuffer {
     timings: DdrTimings,
     banks: Vec<Bank>,
     data_bus_free: SimTime,
-    /// The latest `ready_at` among the banks (derived from them, so not
-    /// snapshot state): the device is quiescent from this instant and
-    /// `data_bus_free` on.
-    banks_ready: SimTime,
     next_refresh: SimTime,
     stats: DramStats,
     // Cached derived timings (pure functions of `timings`, which is only
@@ -75,41 +71,14 @@ pub struct DramBuffer {
     layout: Layout,
 }
 
-/// A construction-fixed divisor of the address map. When it is a power of
-/// two, as the bank count, burst size and row size of every shipped timing
-/// set are, quotient and remainder are a shift and a mask instead of a
-/// 64-bit division (tens of cycles; an access needs several).
-#[derive(Debug, Clone, Copy)]
-struct Divisor {
-    value: u64,
-    shift: Option<u32>,
-}
-
-impl Divisor {
-    fn new(value: u64) -> Self {
-        Divisor {
-            value,
-            shift: value.is_power_of_two().then(|| value.trailing_zeros()),
-        }
-    }
-
-    #[inline]
-    fn div_rem(self, x: u64) -> (u64, u64) {
-        match self.shift {
-            Some(shift) => (x >> shift, x & (self.value - 1)),
-            None => (x / self.value, x % self.value),
-        }
-    }
-}
-
 /// How buffer addresses map onto the banks: consecutive bursts rotate
 /// across the banks one step at a time (interleaved mapping), and rows
 /// advance every `row_bytes`.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
-    banks: Divisor,
-    burst_bytes: Divisor,
-    row_bytes: Divisor,
+    banks: u64,
+    burst_bytes: u64,
+    row_bytes: u64,
 }
 
 /// Where a burst train of one access stands: the bank, row and in-row byte
@@ -128,11 +97,10 @@ impl Layout {
     /// The train of an access to `addr` starting at `at`.
     #[inline]
     fn train(&self, at: SimTime, addr: u64) -> Train {
-        let (row, row_offset) = self.row_bytes.div_rem(addr);
         Train {
-            bank: self.banks.div_rem(self.burst_bytes.div_rem(addr).0).1 as usize,
-            row,
-            row_offset,
+            bank: ((addr / self.burst_bytes) % self.banks) as usize,
+            row: addr / self.row_bytes,
+            row_offset: addr % self.row_bytes,
             cursor: at,
             row_hits: 0,
         }
@@ -141,13 +109,11 @@ impl Layout {
     /// `train` moved `bursts` bursts further on (cursor and hits unchanged).
     #[inline]
     fn skip(&self, train: &Train, bursts: u64) -> Train {
-        let (rows, row_offset) = self
-            .row_bytes
-            .div_rem(train.row_offset + bursts * self.burst_bytes.value);
+        let offset = train.row_offset + bursts * self.burst_bytes;
         Train {
-            bank: self.banks.div_rem(train.bank as u64 + bursts).1 as usize,
-            row: train.row + rows,
-            row_offset,
+            bank: ((train.bank as u64 + bursts) % self.banks) as usize,
+            row: train.row + offset / self.row_bytes,
+            row_offset: offset % self.row_bytes,
             ..*train
         }
     }
@@ -157,12 +123,12 @@ impl Layout {
     #[inline]
     fn advance(&self, train: &mut Train) {
         train.bank += 1;
-        if train.bank as u64 == self.banks.value {
+        if train.bank as u64 == self.banks {
             train.bank = 0;
         }
-        train.row_offset += self.burst_bytes.value;
-        while train.row_offset >= self.row_bytes.value {
-            train.row_offset -= self.row_bytes.value;
+        train.row_offset += self.burst_bytes;
+        while train.row_offset >= self.row_bytes {
+            train.row_offset -= self.row_bytes;
             train.row += 1;
         }
     }
@@ -176,7 +142,6 @@ impl DramBuffer {
             id,
             banks,
             data_bus_free: SimTime::ZERO,
-            banks_ready: SimTime::ZERO,
             next_refresh: timings.refresh_interval(),
             stats: DramStats::default(),
             cas: timings.cas_time(),
@@ -186,9 +151,9 @@ impl DramBuffer {
             refresh_window: timings.refresh_time(),
             refresh_interval: timings.refresh_interval(),
             layout: Layout {
-                banks: Divisor::new(timings.banks as u64),
-                burst_bytes: Divisor::new(timings.burst_bytes() as u64),
-                row_bytes: Divisor::new(timings.row_bytes as u64),
+                banks: timings.banks as u64,
+                burst_bytes: timings.burst_bytes() as u64,
+                row_bytes: timings.row_bytes as u64,
             },
             timings,
         }
@@ -226,17 +191,13 @@ impl DramBuffer {
             // 7.8 µs interval at a time across what can be seconds of
             // simulated idle time (the former dominant cost of long runs).
             let windows_fit = self.refresh_window.max(self.precharge) <= self.refresh_interval;
-            if windows_fit && self.banks_ready <= at {
-                let skipped = match now - at {
-                    gap if gap < self.refresh_interval => 0,
-                    gap => gap.as_ps() / self.refresh_interval.as_ps(),
-                };
+            if windows_fit && self.banks.iter().all(|b| b.ready_at() <= at) {
+                let skipped = (now - at).as_ps() / self.refresh_interval.as_ps();
                 let last_at = at + self.refresh_interval * skipped;
                 for bank in &mut self.banks {
                     bank.precharge_with(last_at, self.precharge);
                     bank.occupy_until(last_at + self.refresh_window);
                 }
-                self.banks_ready = last_at + self.refresh_window.max(self.precharge);
                 self.data_bus_free = self.data_bus_free.max(last_at + self.refresh_window);
                 self.next_refresh = last_at + self.refresh_interval;
                 self.stats.refreshes += skipped + 1;
@@ -249,8 +210,6 @@ impl DramBuffer {
                 bank.precharge_with(at, self.precharge);
                 bank.occupy_until(at + self.refresh_window);
             }
-            self.banks_ready =
-                (self.banks_ready.max(at) + self.precharge).max(at + self.refresh_window);
             self.data_bus_free = self.data_bus_free.max(at + self.refresh_window);
             self.next_refresh += self.refresh_interval;
             self.stats.refreshes += 1;
@@ -266,14 +225,12 @@ impl DramBuffer {
     /// the whole device. Consecutive bursts rotate across the banks one step
     /// at a time (interleaved mapping); rows advance every `row_bytes`.
     ///
-    /// The device is *quiescent* at an instant when the data bus is free and
-    /// every bank is ready by then. A burst that starts quiescent starts
-    /// when its predecessor ends, waits only for its own row, and leaves the
-    /// device quiescent at its end, so from the first quiescent burst on the
-    /// train is timed in closed form. An access that starts quiescent walks
-    /// no burst through the row state machines; a contended one walks its
-    /// first bank rotation, which leaves every bank ready by the end of the
-    /// rotation's last burst. A per-burst reference in the tests pins the
+    /// Only the first bank rotation is walked burst by burst through the
+    /// row state machines. It leaves the device *quiescent* at its end: the
+    /// data bus free and every bank ready. A burst that starts quiescent
+    /// starts when its predecessor ends, waits only for its own row, and
+    /// leaves the device quiescent at its end, so the rest of the train is
+    /// timed in closed form. A per-burst reference in the tests pins the
     /// result, counters and state bytes.
     pub fn access(
         &mut self,
@@ -283,25 +240,11 @@ impl DramBuffer {
         _kind: AccessKind,
     ) -> AccessOutcome {
         self.refresh_if_due(at);
-        let burst_bytes = self.layout.burst_bytes.value;
-        let bursts = self
-            .layout
-            .burst_bytes
-            .div_rem(bytes as u64 + burst_bytes - 1)
-            .0
-            .max(1);
+        let bursts = (bytes as u64).div_ceil(self.layout.burst_bytes).max(1);
         let origin = self.layout.train(at, addr);
         let mut train = origin;
-        let first_visits = bursts.min(self.layout.banks.value);
-        debug_assert_eq!(
-            Some(self.banks_ready),
-            self.banks.iter().map(Bank::ready_at).max()
-        );
-        let start = if self.data_bus_free.max(self.banks_ready) <= at {
-            self.time_first_visits(&mut train, first_visits)
-        } else {
-            self.walk(&mut train, first_visits)
-        };
+        let first_visits = bursts.min(self.layout.banks);
+        let start = self.walk(&mut train, first_visits);
         if bursts > first_visits {
             self.time_later_visits(&origin, &mut train, bursts);
         }
@@ -320,64 +263,23 @@ impl DramBuffer {
     /// banks' row state machines and returns when the first of them started
     /// on the data bus.
     fn walk(&mut self, train: &mut Train, count: u64) -> SimTime {
-        let mut t = *train;
         let mut first_start = None;
         for _ in 0..count {
-            let bank = &mut self.banks[t.bank];
+            let bank = &mut self.banks[train.bank];
             let (cas_ready, outcome) =
-                bank.open_row_with(t.cursor, t.row, self.activate, self.precharge);
+                bank.open_row_with(train.cursor, train.row, self.activate, self.precharge);
             if outcome == RowOutcome::Hit {
-                t.row_hits += 1;
+                train.row_hits += 1;
             }
             let data_start = (cas_ready + self.cas).max(self.data_bus_free);
             let data_end = data_start + self.burst;
             bank.occupy_until(data_end);
-            self.banks_ready = self.banks_ready.max(data_end);
             self.data_bus_free = data_end;
             first_start.get_or_insert(data_start);
-            t.cursor = data_end;
-            self.layout.advance(&mut t);
+            train.cursor = data_end;
+            self.layout.advance(train);
         }
-        *train = t;
-        first_start.unwrap_or(t.cursor)
-    }
-
-    /// Times and books the first visits of a train that starts with the
-    /// device quiescent: the next `count` bursts, at most one per bank.
-    /// Returns when the first of them started on the data bus.
-    ///
-    /// Each burst starts when its predecessor ends and meets the row its
-    /// bank has stored, so it ends exactly `X + CAS + burst` after its
-    /// predecessor, where `X` is 0 for a row hit, tRCD for a miss and
-    /// tRP + tRCD for a conflict. It leaves its bank ready and the bus free
-    /// at its end: the device stays quiescent.
-    fn time_first_visits(&mut self, train: &mut Train, count: u64) -> SimTime {
-        let step = self.cas + self.burst;
-        let mut t = *train;
-        let mut start = t.cursor;
-        for k in 0..count {
-            let bank = &mut self.banks[t.bank];
-            let outcome = bank.outcome(t.row);
-            bank.book(outcome, 1);
-            let delay = match outcome {
-                RowOutcome::Hit => {
-                    t.row_hits += 1;
-                    SimTime::ZERO
-                }
-                RowOutcome::Miss => self.activate,
-                RowOutcome::Conflict => self.precharge + self.activate,
-            };
-            t.cursor += delay + step;
-            if k == 0 {
-                start = t.cursor - self.burst;
-            }
-            bank.leave(t.row, t.cursor);
-            self.layout.advance(&mut t);
-        }
-        *train = t;
-        self.data_bus_free = t.cursor;
-        self.banks_ready = t.cursor;
-        start
+        first_start.unwrap_or(train.cursor)
     }
 
     /// Times and books bursts `banks..count` of the train that started at
@@ -398,9 +300,11 @@ impl DramBuffer {
     /// walk over the row boundaries before it.
     fn time_later_visits(&mut self, origin: &Train, train: &mut Train, count: u64) {
         let layout = self.layout;
-        let banks = layout.banks.value;
-        let burst_bytes = layout.burst_bytes.value;
-        let row_bytes = layout.row_bytes.value;
+        let Layout {
+            banks,
+            burst_bytes,
+            row_bytes,
+        } = layout;
         let step = self.cas + self.burst;
         let conflict = self.precharge + self.activate;
         let rotation_bytes = banks * burst_bytes;
@@ -413,7 +317,7 @@ impl DramBuffer {
             let mut before_last = 0;
             let mut boundary = row_bytes - origin.row_offset;
             while boundary <= (last - 1) * burst_bytes {
-                let opener = layout.burst_bytes.div_rem(boundary + burst_bytes - 1).0;
+                let opener = boundary.div_ceil(burst_bytes);
                 before_last += (opener + banks).min(last) - opener.max(banks);
                 boundary += row_bytes;
             }
@@ -423,7 +327,7 @@ impl DramBuffer {
         let mut tail = layout.skip(origin, last);
         // The burst at `lap` of rotation `visited` follows `visited` earlier
         // visits to its bank.
-        let (mut visited, mut lap) = layout.banks.div_rem(last);
+        let (mut visited, mut lap) = (last / banks, last % banks);
         for _ in last..count {
             cursor += step;
             if tail.row_offset < rotation_bytes {
@@ -437,9 +341,7 @@ impl DramBuffer {
                 }
                 _ => visited,
             };
-            bank.book(RowOutcome::Hit, visited - crossed);
-            bank.book(RowOutcome::Conflict, crossed);
-            bank.leave(tail.row, cursor);
+            bank.book_train(visited - crossed, crossed, tail.row, cursor);
             layout.advance(&mut tail);
             lap += 1;
             if lap == banks {
@@ -450,7 +352,6 @@ impl DramBuffer {
         train.row_hits += (count - banks - conflicts) as u32;
         train.cursor = cursor;
         self.data_bus_free = cursor;
-        self.banks_ready = cursor;
     }
 
     /// The per-burst definition of [`access`](Self::access): every burst is
@@ -475,7 +376,6 @@ impl DramBuffer {
             let data_start = (cas_ready + self.cas).max(self.data_bus_free);
             let data_end = data_start + self.burst;
             self.banks[bank].occupy_until(data_end);
-            self.banks_ready = self.banks_ready.max(data_end);
             self.data_bus_free = data_end;
             first_start.get_or_insert(data_start);
             cursor = data_end;
@@ -527,12 +427,6 @@ impl DramBuffer {
         for bank in &mut self.banks {
             bank.decode_state(dec)?;
         }
-        self.banks_ready = self
-            .banks
-            .iter()
-            .map(Bank::ready_at)
-            .max()
-            .unwrap_or_default();
         self.data_bus_free = dec.get_time()?;
         self.next_refresh = dec.get_time()?;
         self.stats.accesses = dec.get_u64()?;
@@ -548,7 +442,6 @@ impl DramBuffer {
             *b = Bank::new();
         }
         self.data_bus_free = SimTime::ZERO;
-        self.banks_ready = SimTime::ZERO;
         self.next_refresh = self.timings.refresh_interval();
         self.stats = DramStats::default();
     }
@@ -643,8 +536,8 @@ mod tests {
 
         /// Each access of a back-to-back run starts at or after the previous
         /// one's end, so it finds the bus free and, unless a refresh is
-        /// still in flight, every bank ready: the closed form runs from the
-        /// first burst on. Some gaps cross one or two refresh deadlines, and
+        /// still in flight, every bank ready. Some gaps cross one or two
+        /// refresh deadlines, and
         /// sizes span one burst to many rows. Outcome and state bytes match
         /// the per-burst reference. Refresh runs at the DDR2 interval: a
         /// window that outlasts its interval makes every refresh push the

@@ -126,6 +126,9 @@ impl DdrTimings {
         if self.cl == 0 || self.t_rcd == 0 || self.t_rp == 0 {
             return Err(TimingsError::ZeroLatency);
         }
+        if self.t_refi_ns == 0 {
+            return Err(TimingsError::ZeroRefreshInterval);
+        }
         Ok(())
     }
 }
@@ -143,6 +146,9 @@ pub enum TimingsError {
     ZeroDimension,
     /// A core latency (CL, tRCD, tRP) is zero.
     ZeroLatency,
+    /// The refresh interval (tREFI) is zero: a refresh would fall due at
+    /// every instant, and the buffer's refresh catch-up would never end.
+    ZeroRefreshInterval,
 }
 
 impl std::fmt::Display for TimingsError {
@@ -150,6 +156,7 @@ impl std::fmt::Display for TimingsError {
         match self {
             TimingsError::ZeroDimension => write!(f, "dram structural dimension is zero"),
             TimingsError::ZeroLatency => write!(f, "dram core latency is zero"),
+            TimingsError::ZeroRefreshInterval => write!(f, "dram refresh interval is zero"),
         }
     }
 }
@@ -191,6 +198,9 @@ mod tests {
         let mut t = DdrTimings::ddr2_800();
         t.cl = 0;
         assert_eq!(t.validate(), Err(TimingsError::ZeroLatency));
+        let mut t = DdrTimings::ddr2_800();
+        t.t_refi_ns = 0;
+        assert_eq!(t.validate(), Err(TimingsError::ZeroRefreshInterval));
     }
 
     #[test]
